@@ -14,6 +14,8 @@
 //! * [`JournalEntry`] — the typed record layer: per-round delivered
 //!   envelopes and versioned state snapshots, encoded with the exact wire
 //!   codec ([`crate::codec`]).
+//! * [`DeliveryRecords`] — the engines' write side: one round's records
+//!   for every recipient, assembled from frames encoded once each.
 //! * [`replay`] — rebuilds a process from its entries: restore the last
 //!   snapshot (if any), then re-run `send`/`receive` for every journaled
 //!   round after it.
@@ -32,17 +34,19 @@
 //! order and stops at the first damage, returning the intact prefix plus
 //! a typed description of the damage — the *clean rollback* contract.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::codec::{
     decode_frame, DecodeError, Reader, WireDecode, WireEncode, Writer, FORMAT_VERSION,
 };
 use crate::config::Counting;
-use crate::id::Id;
+use crate::id::{Id, Pid};
+use crate::intern::Tok;
 use crate::message::{Envelope, Inbox};
 use crate::process::{Protocol, Round};
 
@@ -558,23 +562,115 @@ impl<M: WireDecode> WireDecode for JournalEntry<M> {
     }
 }
 
-/// Encodes a deliveries entry straight from the engine's `Arc`-shared
-/// wires — byte-identical to encoding an owned
-/// [`JournalEntry::Deliveries`], without cloning any payload.
+/// Opens a framed deliveries record: everything before the envelopes.
+fn put_deliveries_header(w: &mut Writer, round: Round, envelopes: usize) {
+    w.put_u8(FORMAT_VERSION);
+    w.put_u8(TAG_DELIVERIES);
+    round.encode(w);
+    w.put_varint(envelopes as u64);
+}
+
+/// Encodes a deliveries entry straight from `Arc`-shared wires —
+/// byte-identical to encoding an owned [`JournalEntry::Deliveries`],
+/// without cloning any payload. This is the reference encoder: the
+/// engines write through [`DeliveryRecords`], which must produce these
+/// exact bytes.
 pub fn encode_deliveries_entry<M: WireEncode>(
     round: Round,
     envelopes: &[(Id, std::sync::Arc<M>)],
 ) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_u8(FORMAT_VERSION);
-    w.put_u8(TAG_DELIVERIES);
-    round.encode(&mut w);
-    w.put_varint(envelopes.len() as u64);
+    put_deliveries_header(&mut w, round, envelopes.len());
     for (src, msg) in envelopes {
         src.encode(&mut w);
         msg.encode(&mut w);
     }
     w.into_vec()
+}
+
+/// One round's [`Deliveries`](JournalEntry::Deliveries) records for every
+/// recipient, assembled from frames that are encoded once.
+///
+/// A broadcast round hands almost every recipient the same frame, so
+/// encoding record by record repeats the codec's work once per recipient.
+/// The builder encodes a frame into a shared arena the first time its
+/// frame token is staged in a round (the engines stamp one token per
+/// distinct payload through their
+/// [`FrameInterner`](crate::fabric::FrameInterner), so equal tokens mean
+/// equal bytes) and splices those bytes into each recipient's record —
+/// byte for byte what [`encode_deliveries_entry`] writes, so the record
+/// format and every reader of it are unaffected.
+///
+/// Per round: [`begin`](DeliveryRecords::begin), one
+/// [`stage`](DeliveryRecords::stage) per delivered envelope in delivery
+/// order, then [`record`](DeliveryRecords::record) for each recipient
+/// that journals the round. Every buffer is reused across rounds, and a
+/// new builder allocates nothing until its first round.
+#[derive(Debug, Default)]
+pub struct DeliveryRecords {
+    /// The round's distinct frames, each encoded once.
+    arena: Writer,
+    /// Frame token → where its bytes sit in `arena`, this round.
+    frames: BTreeMap<Tok, Range<usize>>,
+    /// Per recipient: `(sender identifier, arena range)` in delivery order.
+    staged: Vec<Vec<(Id, Range<usize>)>>,
+    /// The record last assembled.
+    record: Writer,
+}
+
+impl DeliveryRecords {
+    /// An empty builder.
+    pub fn new() -> Self {
+        DeliveryRecords::default()
+    }
+
+    /// Opens a round over recipients `0..n`, forgetting the previous
+    /// round's frames and staged envelopes.
+    pub fn begin(&mut self, n: usize) {
+        self.arena.clear();
+        self.frames.clear();
+        if self.staged.len() < n {
+            self.staged.resize_with(n, Vec::new);
+        }
+        for envelopes in &mut self.staged {
+            envelopes.clear();
+        }
+    }
+
+    /// Stages one envelope delivered to `to`. `msg` is encoded only if no
+    /// frame with token `tok` has been staged since
+    /// [`begin`](DeliveryRecords::begin).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` lies outside the range the round was opened over.
+    pub fn stage<M: WireEncode>(&mut self, to: Pid, src: Id, tok: Tok, msg: &M) {
+        let arena = &mut self.arena;
+        let span = self.frames.entry(tok).or_insert_with(|| {
+            let start = arena.len();
+            msg.encode(arena);
+            start..arena.len()
+        });
+        self.staged[to.index()].push((src, span.clone()));
+    }
+
+    /// Assembles `to`'s record for `round` from the envelopes staged for
+    /// it (possibly none: every executed round is journalled). The bytes
+    /// stay valid until the next call on the builder.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` lies outside the range the round was opened over.
+    pub fn record(&mut self, round: Round, to: Pid) -> &[u8] {
+        let envelopes = &self.staged[to.index()];
+        self.record.clear();
+        put_deliveries_header(&mut self.record, round, envelopes.len());
+        for (src, span) in envelopes {
+            src.encode(&mut self.record);
+            self.record.put_bytes(&self.arena.as_slice()[span.clone()]);
+        }
+        self.record.as_slice()
+    }
 }
 
 /// Encodes a snapshot entry (no message bound — snapshot bytes are
@@ -652,7 +748,13 @@ pub fn replay<P: Protocol>(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use proptest::collection;
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::fabric::FrameInterner;
 
     fn entry(round: u64, msgs: &[(u16, u64)]) -> Vec<u8> {
         let e = JournalEntry::Deliveries {
@@ -701,13 +803,91 @@ mod tests {
 
     #[test]
     fn arc_encoder_matches_owned_encoding() {
-        use std::sync::Arc;
         let owned = entry(5, &[(1, 42), (3, 7)]);
         let shared = encode_deliveries_entry(
             Round::new(5),
             &[(Id::new(1), Arc::new(42u64)), (Id::new(3), Arc::new(7u64))],
         );
         assert_eq!(owned, shared);
+    }
+
+    /// One emission of a generated round: the sender's identifier, its
+    /// payload, and which recipients it reaches.
+    type Emission = (u16, u64, Vec<bool>);
+
+    /// Rounds over `n ≤ 5` recipients. Payloads come from a four-value
+    /// alphabet of different encoded lengths, so homonym senders emit
+    /// equal content (each under its own `Arc`); a reach mask is anything
+    /// from a broadcast to a Byzantine unicast to nobody, which also
+    /// leaves inboxes empty; `skipped` marks the recipients down for the
+    /// whole run.
+    fn rounds_strategy() -> impl Strategy<Value = (usize, Vec<bool>, Vec<Vec<Emission>>)> {
+        (1usize..=5).prop_flat_map(|n| {
+            let payload = (0usize..4).prop_map(|i| [0u64, 200, 70_000, u64::MAX][i]);
+            let emission = (1u16..=3, payload, collection::vec(any::<bool>(), n));
+            (
+                Just(n),
+                collection::vec(any::<bool>(), n),
+                collection::vec(collection::vec(emission, 0..8), 1..4),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every record the builder assembles is the reference encoder's,
+        /// byte for byte, and decodes back to the staged envelopes — over
+        /// several rounds on one builder, with tokens from one interner
+        /// as in the engines.
+        #[test]
+        fn builder_records_match_the_reference_encoder(
+            (n, skipped, rounds) in rounds_strategy(),
+        ) {
+            let mut frames: FrameInterner<u64> = FrameInterner::new();
+            let mut records = DeliveryRecords::new();
+            for (r, emissions) in rounds.iter().enumerate() {
+                let round = Round::new(r as u64);
+                let mut staged: Vec<Vec<(Id, Arc<u64>)>> = vec![Vec::new(); n];
+                records.begin(n);
+                for (src, payload, reach) in emissions {
+                    let msg = Arc::new(*payload);
+                    let tok = frames.tok_for(&msg);
+                    for to in (0..n).filter(|&to| reach[to]) {
+                        records.stage(Pid::new(to), Id::new(*src), tok, &*msg);
+                        staged[to].push((Id::new(*src), Arc::clone(&msg)));
+                    }
+                }
+                for to in (0..n).filter(|&to| !skipped[to]) {
+                    let record = records.record(round, Pid::new(to)).to_vec();
+                    prop_assert_eq!(&record, &encode_deliveries_entry(round, &staged[to]));
+                    let envelopes = staged[to].iter().map(|(src, msg)| (*src, **msg)).collect();
+                    prop_assert_eq!(
+                        decode_entries::<u64>(&[record]).unwrap(),
+                        vec![JournalEntry::Deliveries { round, envelopes }]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_delivered_to_k_recipients_is_encoded_once() {
+        let mut frames: FrameInterner<u64> = FrameInterner::new();
+        let mut records = DeliveryRecords::new();
+        // Two homonyms broadcast equal content under their own `Arc`s; a
+        // third sender unicasts something else.
+        let (k, msg, homonym, other) = (4, Arc::new(70_000u64), Arc::new(70_000u64), Arc::new(9));
+        records.begin(k);
+        for to in Pid::all(k) {
+            records.stage(to, Id::new(1), frames.tok_for(&msg), &*msg);
+            records.stage(to, Id::new(1), frames.tok_for(&homonym), &*homonym);
+        }
+        records.stage(Pid::new(0), Id::new(2), frames.tok_for(&other), &*other);
+        let frame_len = |m: &u64| crate::codec::encode_frame(m).len() - 1;
+        assert_eq!(records.arena.len(), frame_len(&msg) + frame_len(&other));
+        let record = records.record(Round::new(2), Pid::new(k - 1)).to_vec();
+        assert_eq!(record, entry(2, &[(1, 70_000), (1, 70_000)]));
     }
 
     #[test]

@@ -5,11 +5,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use homonym_core::codec::{WireDecode, WireEncode};
-use homonym_core::journal::{self, Journal, MemJournal};
+use homonym_core::journal::{self, DeliveryRecords, Journal, MemJournal};
 use homonym_core::spec::{self, Outcome, Verdict};
 use homonym_core::IdAssignment;
 use homonym_core::{
-    ByzPower, Deliveries, FrameInterner, Id, Inbox, Pid, Protocol, ProtocolFactory, RecoveryMode,
+    ByzPower, Deliveries, FrameInterner, Inbox, Pid, Protocol, ProtocolFactory, RecoveryMode,
     Round, SharedEnvelope, SystemConfig,
 };
 use homonym_sim::adversary::{AdvCtx, Adversary, Silent};
@@ -310,7 +310,7 @@ impl<P: Protocol> DelayCluster<P> {
             (!churn.is_empty()).then(|| procs.keys().map(|&p| (p, MemJournal::new())).collect());
         let mut crashed: BTreeSet<Pid> = BTreeSet::new();
         let mut amnesiac: BTreeSet<Pid> = BTreeSet::new();
-        let mut journal_scratch: Vec<Vec<(Id, Arc<P::Msg>)>> = Vec::new();
+        let mut records = DeliveryRecords::new();
         let mut crash_dropped = 0u64;
 
         let mut net: InFlight<P::Msg> = InFlight::new();
@@ -400,10 +400,7 @@ impl<P: Protocol> DelayCluster<P> {
             // for the write-ahead log.
             deliveries.clear();
             if journals.is_some() {
-                journal_scratch.resize_with(n, Vec::new);
-                for buf in &mut journal_scratch {
-                    buf.clear();
-                }
+                records.begin(n);
             }
 
             // 1. Correct sends at the round's opening tick; one Arc wrap
@@ -432,7 +429,7 @@ impl<P: Protocol> DelayCluster<P> {
                         if to == pid {
                             // Self-delivery costs no network trip.
                             if journals.is_some() {
-                                journal_scratch[to.index()].push((src_id, Arc::clone(&msg)));
+                                records.stage(to, src_id, tok, &*msg);
                             }
                             deliveries
                                 .push(to, SharedEnvelope::framed(src_id, Arc::clone(&msg), tok));
@@ -518,8 +515,7 @@ impl<P: Protocol> DelayCluster<P> {
                 } else if flight.round == round {
                     delivered_on_time += 1;
                     if journals.is_some() && procs.contains_key(&flight.to) {
-                        journal_scratch[flight.to.index()]
-                            .push((flight.src, Arc::clone(&flight.msg)));
+                        records.stage(flight.to, flight.src, flight.tok, &*flight.msg);
                     }
                     deliveries.push(
                         flight.to,
@@ -539,10 +535,7 @@ impl<P: Protocol> DelayCluster<P> {
                 for (&pid, journal) in j.iter_mut() {
                     if procs.contains_key(&pid) {
                         journal
-                            .append(&journal::encode_deliveries_entry(
-                                round,
-                                &journal_scratch[pid.index()],
-                            ))
+                            .append(records.record(round, pid))
                             .expect("journal append");
                         journal.sync().expect("journal sync");
                     }

@@ -81,7 +81,8 @@ pub struct BoundedEchoBroadcast<M> {
     horizon: u64,
     /// Bumped whenever the outgoing wire set changes (growth *or* prune).
     generation: u64,
-    /// Scratch: keys whose evidence grew this `observe` call.
+    /// Scratch: keys whose evidence reached a threshold this `observe`
+    /// call (empty between calls).
     dirty: Vec<BKey<M>>,
 }
 
@@ -203,16 +204,25 @@ impl<M: homonym_core::Message> BoundedEchoBroadcast<M> {
         let now_sr = round.superround().index();
 
         // Monotone watermark ingest, capped at our own superround so a
-        // Byzantine sender cannot fast-forward the horizon.
+        // Byzantine sender cannot fast-forward the horizon. The stable
+        // superround is a function of the summary alone, so it is
+        // recomputed only when an entry rose (a new entry at 0 is the
+        // smallest and leaves the `ℓ − t`-th largest where it was).
+        let mut advanced = false;
         for &(src, sr) in watermarks {
             let sr = sr.min(now_sr);
             let entry = self.max_sr.entry(src).or_insert(0);
-            *entry = (*entry).max(sr);
+            if sr > *entry {
+                *entry = sr;
+                advanced = true;
+            }
         }
-        let new_horizon = self.stable_sr().saturating_sub(self.window);
-        if new_horizon > self.horizon {
-            self.horizon = new_horizon;
-            self.prune();
+        if advanced {
+            let new_horizon = self.stable_sr().saturating_sub(self.window);
+            if new_horizon > self.horizon {
+                self.horizon = new_horizon;
+                self.prune();
+            }
         }
 
         // Inits start our echoing, stamped with our current superround —
@@ -226,28 +236,31 @@ impl<M: homonym_core::Message> BoundedEchoBroadcast<M> {
         // Echo evidence for in-window keys only: below the horizon the
         // key is settled history, above our own superround it can only be
         // forged (correct processes stamp inits with the receiver-side
-        // superround, which our rounds have reached too).
-        let ell = self.ell;
+        // superround, which our rounds have reached too). A key's count
+        // rises one identifier at a time, so only a key that lands exactly
+        // on a threshold can newly pass it: those are the keys to act on.
+        let join = self.join_threshold();
+        let accept = self.accept_threshold();
         let mut dirty = std::mem::take(&mut self.dirty);
-        dirty.clear();
         for &(echoer, item) in echoes {
             if item.sr < self.horizon || item.sr > now_sr {
                 continue;
             }
             let key = (item.sr, item.src, Arc::clone(&item.payload));
-            let bits = self
-                .evidence
-                .entry(key.clone())
-                .or_insert_with(|| IdBits::with_capacity(ell));
-            if bits.insert(echoer.index()) {
+            let grown_to = match self.evidence.get_mut(&key) {
+                Some(bits) => bits.insert(echoer.index()).then(|| bits.len()),
+                None => {
+                    let mut bits = IdBits::with_capacity(self.ell);
+                    bits.insert(echoer.index());
+                    self.evidence.insert(key.clone(), bits);
+                    Some(1)
+                }
+            };
+            if grown_to.is_some_and(|count| count == join || count == accept) {
                 dirty.push(key);
             }
         }
-        dirty.sort_unstable();
-        dirty.dedup();
 
-        let join = self.join_threshold();
-        let accept = self.accept_threshold();
         let mut accepts = Vec::new();
         for key in &dirty {
             let supporters = self.evidence[key].len();
@@ -262,6 +275,7 @@ impl<M: homonym_core::Message> BoundedEchoBroadcast<M> {
                 });
             }
         }
+        dirty.clear();
         self.dirty = dirty;
         accepts.sort_by(|a, b| (&a.payload, a.sr, a.src).cmp(&(&b.payload, b.sr, b.src)));
         accepts
@@ -374,6 +388,15 @@ impl<V: Value> BoundedBundle<V> {
     pub fn watermark(&self) -> u64 {
         self.watermark
     }
+
+    /// This bundle carrying one more echo item — a Byzantine forgery for
+    /// the tests.
+    #[cfg(test)]
+    pub(crate) fn forged_with_echo(&self, item: EchoItem<Payload<V>>) -> Self {
+        let mut forged = self.clone();
+        Arc::make_mut(&mut forged.echoes).insert(item);
+        forged
+    }
 }
 
 /// The cached outgoing bundle and the fingerprints it was built from.
@@ -416,7 +439,13 @@ pub struct BoundedAgreement<V> {
     keep_phases: u64,
 
     send_cache: Option<SendCache<V>>,
+    /// Per sender identifier: the echo sets counted in full the last time
+    /// that identifier was heard from (see [`Protocol::receive`]).
+    seen_echoes: BTreeMap<Id, Vec<EchoSet<V>>>,
 }
+
+/// A bundle's (windowed) echo set, as shared on the wire.
+type EchoSet<V> = Arc<BTreeSet<EchoItem<Payload<V>>>>;
 
 impl<V: Value> BoundedAgreement<V> {
     /// Creates the automaton — same parameters and panics as
@@ -439,6 +468,7 @@ impl<V: Value> BoundedAgreement<V> {
             my_lock: BTreeMap::new(),
             keep_phases: DEFAULT_WINDOW_SUPERROUNDS / 4,
             send_cache: None,
+            seen_echoes: BTreeMap::new(),
             domain,
         }
     }
@@ -462,6 +492,20 @@ impl<V: Value> BoundedAgreement<V> {
     /// this is the number the long-horizon flat-state test watches).
     pub fn echoing_len(&self) -> usize {
         self.bcast.echoing_len()
+    }
+
+    /// The broadcast layer's pruning horizon.
+    #[cfg(test)]
+    pub(crate) fn horizon(&self) -> u64 {
+        self.bcast.horizon()
+    }
+
+    /// Forgets which echo sets were counted, so that the next `receive`
+    /// scans every set in full — the reference the tests hold the
+    /// shortcuts to.
+    #[cfg(test)]
+    pub(crate) fn forget_counted_echoes(&mut self) {
+        self.seen_echoes.clear();
     }
 
     fn is_leader(&self, ph: u64) -> bool {
@@ -716,22 +760,55 @@ impl<V: Value> Protocol for BoundedAgreement<V> {
     fn receive(&mut self, round: Round, inbox: &Inbox<BoundedBundle<V>>) {
         let PhasePos { ph, w } = phase_pos(round);
 
-        // Broadcast layer: bounded sets are small, so every bundle is
-        // scanned in full — no pointer-identity shortcut needed.
+        // Broadcast layer. Within the window echo evidence is cumulative
+        // and idempotent per (identifier, item), and the horizon only
+        // rises, so an item once fed from an identifier — counted, or
+        // ignored as below the horizon — changes nothing when fed again:
+        // it is already counted, or (still, or by now) below the horizon.
+        // Hence the faithful stack's rule: an echo set re-delivered as the
+        // *same* `Arc` is skipped, and a changed one is narrowed to its
+        // difference against a set already counted from that identifier.
+        // The one item that is ignored today and counts later is one
+        // stamped past our own superround, so a set holding such an item
+        // is not remembered as counted and is scanned again each round.
+        let now_sr = round.superround().index();
         let mut inits: Vec<(Id, &Payload<V>)> = Vec::new();
         let mut echoes: Vec<(Id, &EchoItem<Payload<V>>)> = Vec::new();
         let mut watermarks: Vec<(Id, u64)> = Vec::new();
+        let mut counted_now: Vec<(Id, EchoSet<V>)> = Vec::with_capacity(inbox.len());
         for (src, bundle, _) in inbox.iter() {
             for p in &bundle.inits {
                 inits.push((src, p));
             }
-            for e in bundle.echoes.iter() {
-                echoes.push((src, e));
-            }
             watermarks.push((src, bundle.watermark));
+            let prev = self.seen_echoes.get(&src).map_or(&[][..], Vec::as_slice);
+            let fed_from = echoes.len();
+            if !prev.iter().any(|e| Arc::ptr_eq(e, &bundle.echoes)) {
+                match prev.first() {
+                    Some(baseline) => {
+                        echoes.extend(bundle.echoes.difference(baseline).map(|e| (src, e)))
+                    }
+                    None => echoes.extend(bundle.echoes.iter().map(|e| (src, e))),
+                }
+            }
+            if echoes[fed_from..].iter().all(|(_, e)| e.sr <= now_sr) {
+                counted_now.push((src, Arc::clone(&bundle.echoes)));
+            }
         }
         let accepts = self.bcast.observe(round, &inits, &echoes, &watermarks);
         self.route_accepts(accepts);
+        // An identifier keeps its last counted sets while it is silent or
+        // sends only unsettled ones: an old baseline never stops being a
+        // valid shortcut. `counted_now` is grouped by identifier.
+        let mut last = None;
+        for (src, set) in counted_now {
+            let sets = self.seen_echoes.entry(src).or_default();
+            if last != Some(src) {
+                sets.clear();
+                last = Some(src);
+            }
+            sets.push(set);
+        }
 
         let proper_views: Vec<(Id, &BTreeSet<V>)> =
             inbox.iter().map(|(src, b, _)| (src, &*b.proper)).collect();
@@ -814,6 +891,11 @@ impl<V: Value> Protocol for BoundedAgreement<V> {
             .map(|s| 64 + s.len() as u64 * 64)
             .sum::<u64>();
         bits += self.my_lock.len() as u64 * 128;
+        bits += self
+            .seen_echoes
+            .values()
+            .map(|sets| sets.len() as u64 * 64)
+            .sum::<u64>();
         bits
     }
 }

@@ -5,13 +5,19 @@
 //! copy of the original deep-keyed implementation.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use homonym_core::codec::{decode_frame, encode_frame, WireDecode, WireEncode};
-use homonym_core::{Domain, Id, IdAssignment, Pid, Protocol, Round};
+use homonym_core::{
+    Counting, Domain, Envelope, Id, IdAssignment, Inbox, Pid, Protocol, ProtocolFactory, Round,
+    SharedEnvelope,
+};
 use proptest::prelude::*;
 
 use crate::agreement::{Bundle, HomonymAgreement, Payload};
-use crate::bounded::BoundedAgreement;
+use crate::bounded::{
+    BoundedAgreement, BoundedAgreementFactory, BoundedBundle, BoundedEchoBroadcast,
+};
 use crate::bounded_restricted::BoundedRestrictedAgreement;
 use crate::broadcast::{EchoBroadcast, EchoItem};
 use crate::invariants::sole_correct_witness;
@@ -216,6 +222,72 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Inside its window the bounded layer is the reference layer: with a
+    /// window no run outlasts, and the echoes stamped past the receiver's
+    /// own superround (which the bounded layer ignores) withheld from the
+    /// reference, both send the same items, join and accept the same
+    /// keys in the same order, under the same adversarial schedules.
+    #[test]
+    fn bounded_echo_broadcast_matches_reference_within_the_window(
+        ell in 3usize..7,
+        t in 0usize..2,
+        script in scripted_rounds(5, 10),
+        bcast_rounds in proptest::collection::vec(0usize..10, 0..3),
+    ) {
+        let mut bounded: BoundedEchoBroadcast<&'static str> =
+            BoundedEchoBroadcast::with_window(ell, t, u64::MAX);
+        let mut reference = reference::ReferenceEchoBroadcast::new(ell, t);
+
+        for (r, (init_script, echo_script)) in script.iter().enumerate() {
+            let round = Round::new(r as u64);
+            if bcast_rounds.contains(&r) {
+                bounded.broadcast(ALPHABET[r % ALPHABET.len()]);
+                reference.broadcast(ALPHABET[r % ALPHABET.len()]);
+            }
+
+            let (inits_a, echoes_a) = bounded.shared_to_send(round);
+            let (inits_b, echoes_b) = reference.to_send(round);
+            prop_assert_eq!(&inits_a, &inits_b);
+            let triples_a: Vec<(&'static str, u64, Id)> = echoes_a
+                .iter()
+                .map(|e| (*e.payload, e.sr, e.src))
+                .collect();
+            prop_assert_eq!(&triples_a, &echoes_b, "round {}", r);
+
+            let inits: Vec<(Id, &&'static str)> = init_script
+                .iter()
+                .map(|&(id, p)| (Id::new(id), &ALPHABET[p]))
+                .collect();
+            let items: Vec<(Id, EchoItem<&'static str>, (&'static str, u64, Id))> = echo_script
+                .iter()
+                .map(|&(echoer, (p, sr, src))| {
+                    let src = Id::new(src);
+                    (Id::new(echoer), EchoItem::new(ALPHABET[p], sr, src), (ALPHABET[p], sr, src))
+                })
+                .collect();
+            let echoes_in: Vec<(Id, &EchoItem<&'static str>)> =
+                items.iter().map(|(echoer, item, _)| (*echoer, item)).collect();
+            let ref_echoes_in: Vec<(Id, &(&'static str, u64, Id))> = items
+                .iter()
+                .filter(|(_, item, _)| item.sr <= round.superround().index())
+                .map(|(echoer, _, triple)| (*echoer, triple))
+                .collect();
+
+            let accepts_a: Vec<(&'static str, u64, Id)> = bounded
+                .observe(round, &inits, &echoes_in, &[])
+                .into_iter()
+                .map(|a| (a.payload, a.sr, a.src))
+                .collect();
+            let accepts_b = reference.observe(round, &inits, &ref_echoes_in);
+            prop_assert_eq!(&accepts_a, &accepts_b, "accepts diverge in round {}", r);
+            prop_assert_eq!(bounded.echoing_len(), reference.echoing_len());
         }
     }
 }
@@ -852,6 +924,164 @@ proptest! {
         );
         prop_assert_eq!(&f, &b, "bounded and faithful Figure 7 runs diverged");
     }
+}
+
+// ------------- bounded receive: shared handles, fresh decodes, full rescans
+
+/// How one network of [`bounded_runs_however_fed`] receives its bundles.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Feed {
+    /// As the engines feed it: one `Arc` per emission, shared by every
+    /// recipient and by every round the sender's cache re-sends it, so
+    /// `receive` skips and narrows echo sets it has counted.
+    Shared,
+    /// Every delivered bundle decoded afresh, as
+    /// [`homonym_core::journal::replay`] feeds a recovering process: no
+    /// two deliveries share a handle.
+    Decoded,
+    /// Decoded afresh by a receiver that remembers no counted set, so it
+    /// scans every echo set in full — what `receive` does without any
+    /// shortcut, and so the reference for the other two.
+    Rescanned,
+}
+
+/// Runs three `n = ℓ = 4, t = 1` bounded Figure 5 networks, one per
+/// [`Feed`], through the same script and returns the processes' final
+/// pruning horizons. After every `receive` the three copies of a process
+/// must agree: the [`Feed::Decoded`] copy with the [`Feed::Shared`] one
+/// on the whole automaton (accepted keys, evidence, horizon, wire set,
+/// accumulators and remembered sets, through `Debug`), its `state_bits`
+/// and its decision; the [`Feed::Rescanned`] copy on all of that but the
+/// remembered sets.
+///
+/// The script is `drops` plus what process `byz` sends in place of its
+/// own bundles: with `replay`, `victim`'s bundle of the round under
+/// `victim`'s own handle; with `stale`, one bundle forged at round 0
+/// whose extra echo is stamped superround `sr`, re-sent under one handle
+/// in every round — ignored until the receivers reach `sr`, counted from
+/// then on, pruned once the horizon passes it.
+fn bounded_runs_however_fed(
+    window: u64,
+    inputs: &[bool],
+    drops: &BTreeSet<(u64, usize, usize)>,
+    replay: Option<(usize, usize)>,
+    stale: Option<(usize, u64)>,
+    rounds: u64,
+) -> Vec<u64> {
+    let factory = BoundedAgreementFactory::new(4, 4, 1, Domain::binary()).with_window(window);
+    let ids: Vec<Id> = (0..4).map(Id::from_index).collect();
+    let feeds = [Feed::Shared, Feed::Decoded, Feed::Rescanned];
+    let mut nets: Vec<Vec<BoundedAgreement<bool>>> = feeds
+        .iter()
+        .map(|_| (0..4).map(|k| factory.spawn(ids[k], inputs[k])).collect())
+        .collect();
+    let mut stale_bundle: Option<Arc<BoundedBundle<bool>>> = None;
+    for r in 0..rounds {
+        let round = Round::new(r);
+        let sends: Vec<Vec<Arc<BoundedBundle<bool>>>> = nets
+            .iter_mut()
+            .map(|procs| {
+                let mut out: Vec<Arc<BoundedBundle<bool>>> = procs
+                    .iter_mut()
+                    .map(|p| p.send_shared(round).remove(0).1)
+                    .collect();
+                if let Some((byz, victim)) = replay {
+                    out[byz] = Arc::clone(&out[victim]);
+                }
+                if let Some((byz, sr)) = stale {
+                    let bundle = stale_bundle.get_or_insert_with(|| {
+                        let values = BTreeSet::from([true]);
+                        let echo =
+                            EchoItem::new(Payload::Propose { values, ph: sr / 4 }, sr, ids[byz]);
+                        Arc::new(out[byz].forged_with_echo(echo))
+                    });
+                    out[byz] = Arc::clone(bundle);
+                }
+                out
+            })
+            .collect();
+        assert!(
+            sends.iter().all(|out| *out == sends[0]),
+            "the networks sent differently in {round}"
+        );
+        for k in 0..4 {
+            let arriving = (0..4).filter(|&j| j == k || !drops.contains(&(r, j, k)));
+            for ((feed, procs), out) in feeds.iter().zip(&mut nets).zip(&sends) {
+                let inbox = match feed {
+                    Feed::Shared => Inbox::collect_shared(
+                        arriving
+                            .clone()
+                            .map(|j| SharedEnvelope::shared(ids[j], Arc::clone(&out[j]))),
+                        Counting::Innumerate,
+                    ),
+                    Feed::Decoded | Feed::Rescanned => Inbox::collect(
+                        arriving.clone().map(|j| Envelope {
+                            src: ids[j],
+                            msg: roundtrip(&*out[j]),
+                        }),
+                        Counting::Innumerate,
+                    ),
+                };
+                if *feed == Feed::Rescanned {
+                    procs[k].forget_counted_echoes();
+                }
+                procs[k].receive(round, &inbox);
+            }
+            let [shared, decoded, rescanned] = [&nets[0][k], &nets[1][k], &nets[2][k]];
+            assert_eq!(
+                format!("{shared:?}"),
+                format!("{decoded:?}"),
+                "process {k} fed fresh decodes diverged in {round}"
+            );
+            assert_eq!(shared.state_bits(), decoded.state_bits());
+            assert_eq!(shared.decision(), decoded.decision());
+            let (mut shared, mut rescanned) = (shared.clone(), rescanned.clone());
+            shared.forget_counted_echoes();
+            rescanned.forget_counted_echoes();
+            assert_eq!(
+                format!("{shared:?}"),
+                format!("{rescanned:?}"),
+                "process {k} diverged from the full rescan in {round}"
+            );
+        }
+    }
+    nets[0].iter().map(BoundedAgreement::horizon).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The shortcuts of `BoundedAgreement::receive` are unobservable
+    /// under the adversarial scripts of the equivalence tests above, at
+    /// windows small enough that the horizon moves early.
+    #[test]
+    fn bounded_receive_shortcut_is_unobservable(
+        window in (0usize..3).prop_map(|i| [2u64, 4, 16][i]),
+        inputs in proptest::collection::vec(any::<bool>(), 4),
+        drops in echo_drops(3, 4),
+        replay in (0u8..3, 0usize..4, 0usize..4)
+            .prop_map(|(tag, bz, victim)| (tag == 0).then_some((bz, victim))),
+        stale in (0u8..2, 0usize..4, 1u64..12)
+            .prop_map(|(tag, bz, sr)| (tag == 0).then_some((bz, sr))),
+    ) {
+        bounded_runs_however_fed(window, &inputs, &drops, replay, stale, 80);
+    }
+}
+
+/// The two cases the shortcut's argument rests on, pinned: a Byzantine
+/// bundle whose extra echo is stamped superround 6 arrives under one
+/// handle from round 0 on — it must not be remembered as counted before
+/// round 12, when the echo starts to count — and keeps arriving under
+/// that handle while the horizon (window 2) rises past everything it
+/// holds.
+#[test]
+fn bounded_receive_shortcut_survives_future_echoes_and_horizon_advances() {
+    let horizons =
+        bounded_runs_however_fed(2, &[true; 4], &BTreeSet::new(), None, Some((3, 6)), 80);
+    assert!(
+        horizons.iter().all(|&h| h > 6),
+        "the horizon must have passed the forged echo: {horizons:?}"
+    );
 }
 
 /// Long-horizon memory shape: over hundreds of rounds the faithful

@@ -34,7 +34,7 @@ use crossbeam_channel::{bounded, Receiver, Sender};
 use homonym_core::codec::{WireDecode, WireEncode};
 use homonym_core::exec::{self, Executor, Sequential};
 use homonym_core::intern::{IdBits, Tok};
-use homonym_core::journal::{self, Journal, MemJournal};
+use homonym_core::journal::{self, DeliveryRecords, Journal, MemJournal};
 use homonym_core::spec::{self, Outcome};
 use homonym_core::RecoveryMode;
 use homonym_core::{
@@ -253,7 +253,7 @@ where
         let mut crashed: BTreeSet<Pid> = BTreeSet::new();
         let mut amnesiac: BTreeSet<Pid> = BTreeSet::new();
         let mut correct_inputs = correct_inputs;
-        let mut journal_scratch: Vec<Vec<(Id, Arc<P::Msg>)>> = Vec::new();
+        let mut records = DeliveryRecords::new();
 
         while round.index() < max_rounds && decisions.len() + amnesiac.len() < correct.len() {
             // 0. Apply due crash/recover events at the round boundary.
@@ -385,10 +385,7 @@ where
             // drop policy is queried before the crash filter so its RNG
             // stream stays in lockstep with an uninterrupted run.
             if journals.is_some() {
-                journal_scratch.resize_with(cfg.n, Vec::new);
-                for buf in &mut journal_scratch {
-                    buf.clear();
-                }
+                records.begin(cfg.n);
             }
             for (from, src_id, to, msg, tok) in wires.drain(..) {
                 let is_self = from == to;
@@ -404,7 +401,7 @@ where
                     continue;
                 }
                 if journals.is_some() && to_actors.contains_key(&to) {
-                    journal_scratch[to.index()].push((src_id, Arc::clone(&msg)));
+                    records.stage(to, src_id, tok, &*msg);
                 }
                 deliveries.push(to, SharedEnvelope::framed(src_id, msg, tok));
             }
@@ -413,10 +410,8 @@ where
                     if crashed.contains(&pid) {
                         continue; // not executing this round
                     }
-                    let entry =
-                        journal::encode_deliveries_entry(round, &journal_scratch[pid.index()]);
                     journal
-                        .append(&entry)
+                        .append(records.record(round, pid))
                         .and_then(|()| journal.sync())
                         .expect("journal append failed");
                 }

@@ -20,8 +20,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use homonym_core::exec::{self, Executor, Sequential};
-use homonym_core::intern::IdBits;
-use homonym_core::journal::{self, Journal, MemJournal};
+use homonym_core::intern::{IdBits, Tok};
+use homonym_core::journal::{self, DeliveryRecords, Journal, MemJournal};
 use homonym_core::spec::{self, Outcome, Verdict};
 use homonym_core::{
     Deliveries, FrameInterner, Id, IdAssignment, Inbox, Pid, Protocol, ProtocolFactory,
@@ -108,20 +108,18 @@ pub struct RunReport<V> {
     pub peak_state_bits: u64,
 }
 
-/// Encodes one round's delivered envelopes as a journal record — a
-/// monomorphized function pointer captured by
+/// [`DeliveryRecords::stage`] monomorphized by
 /// [`SimulationBuilder::durable`], which is where the `Msg: WireEncode`
 /// bound is checked (the hot `step` path itself carries no codec bounds).
-type DeliveriesEncoder<P> = fn(Round, &[(Id, Arc<<P as Protocol>::Msg>)]) -> Vec<u8>;
+type StageFrame<M> = fn(&mut DeliveryRecords, Pid, Id, Tok, &M);
 
 /// Per-process durability state: one journal per correct process, a
-/// snapshot cadence, and the codec hook.
+/// snapshot cadence, and the round's record builder with its codec hook.
 struct Durability<P: Protocol> {
     journals: BTreeMap<Pid, Box<dyn Journal + Send>>,
     snapshot_every: u64,
-    encode: DeliveriesEncoder<P>,
-    /// Per-recipient envelope buffers, reused across rounds.
-    scratch: Vec<Vec<(Id, Arc<P::Msg>)>>,
+    records: DeliveryRecords,
+    stage: StageFrame<P::Msg>,
 }
 
 /// Builder for [`Simulation`]; see [`Simulation::builder`].
@@ -134,7 +132,7 @@ pub struct SimulationBuilder<P: Protocol, E: Executor = Sequential> {
     drops: Box<dyn DropPolicy>,
     topology: Topology,
     record_trace: bool,
-    durable: Option<(u64, DeliveriesEncoder<P>)>,
+    durable: Option<(u64, StageFrame<P::Msg>)>,
     exec: E,
 }
 
@@ -171,10 +169,7 @@ impl<P: Protocol, E: Executor> SimulationBuilder<P, E> {
     where
         P::Msg: WireEncode,
     {
-        self.durable = Some((
-            snapshot_every,
-            journal::encode_deliveries_entry::<P::Msg> as DeliveriesEncoder<P>,
-        ));
+        self.durable = Some((snapshot_every, DeliveryRecords::stage::<P::Msg>));
         self
     }
     /// Declares the Byzantine processes and the strategy controlling them.
@@ -262,14 +257,14 @@ impl<P: Protocol, E: Executor> SimulationBuilder<P, E> {
             .filter(|(pid, _)| !self.byz.contains(pid))
             .map(|(pid, _)| (pid, self.inputs[pid.index()].clone()))
             .collect();
-        let durability = self.durable.map(|(snapshot_every, encode)| Durability {
+        let durability = self.durable.map(|(snapshot_every, stage)| Durability {
             journals: procs
                 .keys()
                 .map(|&pid| (pid, Box::new(MemJournal::new()) as Box<dyn Journal + Send>))
                 .collect(),
             snapshot_every,
-            encode,
-            scratch: Vec::new(),
+            records: DeliveryRecords::new(),
+            stage,
         });
         let n = self.cfg.n;
         Simulation {
@@ -870,15 +865,10 @@ impl<P: Protocol, E: Executor> Simulation<P, E> {
         // entry per live process per round — `send` mutates state, so
         // recovery replay must re-run even empty-inbox rounds.
         if let Some(dur) = &mut self.durability {
-            if dur.scratch.len() < self.cfg.n {
-                dur.scratch.resize_with(self.cfg.n, Vec::new);
-            }
-            for buf in &mut dur.scratch {
-                buf.clear();
-            }
+            dur.records.begin(self.cfg.n);
             for (wire, &ok) in self.wires.iter().zip(&self.route_plan) {
                 if ok {
-                    dur.scratch[wire.to.index()].push((wire.src, Arc::clone(&wire.msg)));
+                    (dur.stage)(&mut dur.records, wire.to, wire.src, wire.tok, &wire.msg);
                 }
             }
             let boundary = dur.snapshot_every > 0 && (r.index() + 1) % dur.snapshot_every == 0;
@@ -886,8 +876,9 @@ impl<P: Protocol, E: Executor> Simulation<P, E> {
                 let Some(proc_) = self.procs.get(&pid) else {
                     continue; // crashed or turned: journal idles
                 };
-                let record = (dur.encode)(r, &dur.scratch[pid.index()]);
-                journal.append(&record).expect("journal append failed");
+                journal
+                    .append(dur.records.record(r, pid))
+                    .expect("journal append failed");
                 if boundary {
                     if let Some(bytes) = proc_.snapshot() {
                         journal

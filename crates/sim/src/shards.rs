@@ -44,7 +44,7 @@ use std::sync::Arc;
 use homonym_core::codec::{self, WireDecode, WireEncode};
 use homonym_core::exec::{self, Executor, Sequential};
 use homonym_core::intern::{IdBits, Tok};
-use homonym_core::journal::{self, Journal, MemJournal};
+use homonym_core::journal::{self, DeliveryRecords, Journal, MemJournal};
 use homonym_core::spec::{self, Outcome};
 use homonym_core::{
     Counting, Deliveries, DeliverySlots, FrameInterner, Id, IdAssignment, Inbox, Pid, Protocol,
@@ -393,8 +393,9 @@ pub struct ShardCore<P: Protocol> {
     pub durable: bool,
     /// Per-process journals (populated per shot when `durable`).
     journals: BTreeMap<Pid, Box<dyn Journal + Send>>,
-    /// Per-pid delivery staging for the journaling pass (reused).
-    journal_scratch: Vec<Vec<(Id, Arc<P::Msg>)>>,
+    /// The journaling pass's record builder (reused; empty until the
+    /// first durable round).
+    records: DeliveryRecords,
     /// The strategy controlling the Byzantine processes.
     pub adversary: Box<dyn Adversary<P::Msg> + Send>,
     /// The current shot's drop policy.
@@ -469,7 +470,7 @@ impl<P: Protocol> ShardCore<P> {
             amnesiac: BTreeSet::new(),
             durable: spec.durable,
             journals: BTreeMap::new(),
-            journal_scratch: Vec::new(),
+            records: DeliveryRecords::new(),
             adversary: Box::new(Silent),
             drops: Box::new(NoDrops),
             horizon: None,
@@ -785,24 +786,18 @@ impl<P: Protocol> ShardCore<P> {
         if self.journals.is_empty() {
             return;
         }
-        let n = self.cfg.n;
-        self.journal_scratch.resize_with(n, Vec::new);
-        for buf in &mut self.journal_scratch {
-            buf.clear();
-        }
+        self.records.begin(self.cfg.n);
         for (wire, &deliver) in wires.iter().zip(plan) {
             if deliver && self.journals.contains_key(&wire.to) {
-                self.journal_scratch[wire.to.index()].push((wire.src, Arc::clone(&wire.msg)));
+                self.records.stage(wire.to, wire.src, wire.tok, &*wire.msg);
             }
         }
         for (&pid, journal) in &mut self.journals {
             if self.crashed.contains(&pid) {
                 continue; // not executing this round: nothing to replay
             }
-            let entry =
-                journal::encode_deliveries_entry(self.round, &self.journal_scratch[pid.index()]);
             journal
-                .append(&entry)
+                .append(self.records.record(self.round, pid))
                 .and_then(|()| journal.sync())
                 .expect("journal append failed");
         }

@@ -3,7 +3,8 @@
 //! the protocol performs **zero** deep clones of payload values, on both
 //! the send side (the cached bundle is re-shared through the fabric) and
 //! the receive side (pointer-identical echo sets are skipped, evidence
-//! updates are no-ops, proper-set inserts are guarded).
+//! updates are no-ops, proper-set inserts are guarded). The budget holds
+//! for the faithful stack and for the bounded one alike.
 //!
 //! The probe value type counts its `Clone` invocations; the network is
 //! driven by hand through `send_shared`/`Inbox::collect_shared` — the
@@ -16,7 +17,7 @@ use std::sync::{Arc, Mutex};
 use homonyms::core::{
     Counting, Domain, Id, Inbox, Protocol, Round, SharedEnvelope, WireEncode, Writer,
 };
-use homonyms::psync::{Bundle, HomonymAgreement};
+use homonyms::psync::{BoundedAgreement, HomonymAgreement};
 
 static CLONES: AtomicU64 = AtomicU64::new(0);
 
@@ -41,16 +42,19 @@ impl WireEncode for Counted {
     }
 }
 
+/// How a Figure 5 stack builds one process: `(n, ℓ, t, domain, id, input)`.
+type Spawn<P> = fn(usize, usize, usize, Domain<Counted>, Id, Counted) -> P;
+
 /// A full-delivery synchronous network of `n = ℓ = 4`, `t = 1` Figure 5
 /// processes over `Counted` values, driven through the shared-handle
 /// seam. Returns the number of `Counted` clones observed in each round
 /// (sends + deliveries + receives of all processes).
-fn clones_per_round(rounds: u64) -> Vec<u64> {
+fn clones_per_round<P: Protocol<Value = Counted>>(spawn: Spawn<P>, rounds: u64) -> Vec<u64> {
     let n = 4usize;
     let domain = Domain::new(vec![Counted(0), Counted(1)]);
-    let mut procs: Vec<HomonymAgreement<Counted>> = (0..n)
+    let mut procs: Vec<P> = (0..n)
         .map(|k| {
-            HomonymAgreement::new(
+            spawn(
                 n,
                 n,
                 1,
@@ -65,11 +69,11 @@ fn clones_per_round(rounds: u64) -> Vec<u64> {
     for r in 0..rounds {
         let round = Round::new(r);
         let before = CLONES.load(Ordering::Relaxed);
-        let outs: Vec<Arc<Bundle<Counted>>> = procs
+        let outs: Vec<Arc<P::Msg>> = procs
             .iter_mut()
             .map(|p| p.send_shared(round).remove(0).1)
             .collect();
-        let inboxes: Vec<Inbox<Bundle<Counted>>> = (0..n)
+        let inboxes: Vec<Inbox<P::Msg>> = (0..n)
             .map(|_| {
                 Inbox::collect_shared(
                     outs.iter()
@@ -91,14 +95,13 @@ fn clones_per_round(rounds: u64) -> Vec<u64> {
     per_round
 }
 
-#[test]
-fn steady_state_rounds_clone_zero_payloads() {
+/// Three full phases. Rounds with w = 3 (the round after the leader's
+/// lock went out and before the vote superround) are the steady state:
+/// every process re-sends its standing bundle and re-receives sets it
+/// already counted.
+fn assert_steady_state_clones_nothing<P: Protocol<Value = Counted>>(spawn: Spawn<P>) {
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // Run three full phases. Rounds with w = 3 (the round after the
-    // leader's lock went out and before the vote superround) are the
-    // steady state: every process re-sends its standing bundle and
-    // re-receives sets it already counted.
-    let per_round = clones_per_round(8 * 3);
+    let per_round = clones_per_round(spawn, 8 * 3);
     let mut steady = Vec::new();
     for (r, &clones) in per_round.iter().enumerate() {
         if r % 8 == 3 && r >= 8 {
@@ -116,6 +119,16 @@ fn steady_state_rounds_clone_zero_payloads() {
 }
 
 #[test]
+fn steady_state_rounds_clone_zero_payloads() {
+    assert_steady_state_clones_nothing(HomonymAgreement::new);
+}
+
+#[test]
+fn bounded_steady_state_rounds_clone_zero_payloads() {
+    assert_steady_state_clones_nothing(BoundedAgreement::new);
+}
+
+#[test]
 fn whole_run_clone_budget_is_bounded() {
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Not just the steady rounds: the whole 3-phase run's clone count
@@ -123,7 +136,7 @@ fn whole_run_clone_budget_is_bounded() {
     // pre-interning cost shape. 24 rounds × 4 procs with dozens of
     // standing echoes would exceed 10k clones on the old path; the
     // interned path pays only for genuine state changes.
-    let per_round = clones_per_round(8 * 3);
+    let per_round = clones_per_round(HomonymAgreement::new, 8 * 3);
     let total: u64 = per_round.iter().sum();
     assert!(
         total < 600,
