@@ -190,14 +190,15 @@ pub fn campaign(iters: u64, base_seed: u64, verbose: bool) -> (u64, u64, u64) {
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let iters: u64 = args
-        .next()
-        .map(|s| s.parse().expect("iters must be a number"))
-        .unwrap_or(150);
-    let base_seed: u64 = args
-        .next()
-        .map(|s| s.parse().expect("seed must be a number"))
-        .unwrap_or(1);
+    let mut number = |default: u64| match args.next() {
+        None => default,
+        Some(arg) => arg.parse().unwrap_or_else(|_| {
+            eprintln!("usage: fuzz_campaign [iters] [base_seed] — `{arg}` is not a number");
+            std::process::exit(2);
+        }),
+    };
+    let iters = number(150);
+    let base_seed = number(1);
 
     println!(
         "fuzz campaign: {iters} schedule draws × 3 families, base seed {base_seed} \

@@ -14,30 +14,17 @@
 //!   9. Section 2 — delay-model equivalence (E14)
 //!  10. Price of homonymy — ℓ sweep against the DLS baseline (E15)
 //!  11. Section 5 — the multi-send restriction is load-bearing (E17)
-//!  12. Shard throughput — K instances over one delivery plane (E19),
-//!      the same `measure_sharded` series `BENCH_shards.json` records
-//!  13. Bundle path — Figure 5 hot-path throughput with per-round timing
-//!      (E20), the same psync_fig5 series `BENCH_fabric.json` records
-//!  14. Exact vs. estimated wire bits — the codec's exact frame sizes
-//!      against the retired `WireSize` structural estimate on the
-//!      Figure 5 workload, auditing the `bits_sent` series the
-//!      arXiv:2311.08060 quadratic-cost reproduction rests on
-//!  15. Bounded-state broadcast — faithful vs. bounded Figure 5 stacks:
-//!      identical decisions, flat vs. growing bits/round and state, the
-//!      same series `BENCH_bounded.json` records
+//!  12. Bounded-state broadcast — faithful vs. bounded Figure 5 stacks:
+//!      identical decisions, flat vs. growing bits/round and state
 //!
-//! EXPERIMENTS.md archives this output next to the paper's claims.
+//! Everything printed is deterministic; the report asserts the claims it
+//! reproduces and writes no file. Timing lives in `perfbench/`.
 
-use homonym_bench::json::{write_bench_json, Value};
 use homonym_bench::{
-    cell_line, decided_round_value, fig5_bounded_wire_profile, fig5_factory, fig5_wire_bundles,
-    fig5_wire_profile, fig7_factory, measure_sharded, psync_cfg, restricted_cfg, run_fig5,
-    run_fig5_known_bound, run_fig5_unknown_bound, run_fig7, run_sharded_fig5, run_sharded_t_eig,
+    cell_line, fig5_bounded_wire_profile, fig5_factory, fig5_wire_profile, fig7_factory, psync_cfg,
+    restricted_cfg, run_fig5, run_fig5_known_bound, run_fig5_unknown_bound, run_fig7,
     run_t_eig_clean, suite_fig5, suite_fig7, suite_t_eig, sync_cfg,
 };
-use homonym_core::codec;
-#[allow(deprecated)]
-use homonym_core::WireSize;
 use homonym_core::{
     bounds, ByzPower, Counting, Domain, IdAssignment, Pid, Synchrony, SystemConfig,
 };
@@ -50,35 +37,42 @@ fn section(title: &str) {
     println!("\n=== {title} ===");
 }
 
-fn empirical_suite(result: &homonym_sim::harness::SuiteResult<bool>) -> String {
+/// The empirical column of a solvable cell, and whether any scenario of
+/// the adversary suite violated agreement.
+fn empirical_suite(result: &homonym_sim::harness::SuiteResult<bool>) -> (String, bool) {
     if result.all_hold() {
-        format!(
+        let text = format!(
             "all {} scenarios hold (worst decision {:?})",
             result.results.len(),
             result.max_decision_round()
-        )
+        );
+        (text, false)
     } else {
         let failure = &result.failures()[0];
-        format!(
+        let text = format!(
             "VIOLATION in '{}': {}",
             failure.name, failure.report.verdict
-        )
+        );
+        (text, true)
     }
 }
 
-fn table1() -> Value {
+/// Prints one Table 1 cell and asserts the empirical outcome matches the
+/// paper's prediction: a violation exactly in the unsolvable cells.
+fn table1_cell(cfg: &SystemConfig, (empirical, violated): (String, bool)) {
+    println!("{}", cell_line(cfg, &empirical));
+    assert_eq!(
+        violated,
+        !bounds::solvable(cfg),
+        "Table 1 cell n={} ell={} t={} disagrees with the prediction",
+        cfg.n,
+        cfg.ell,
+        cfg.t
+    );
+}
+
+fn table1() {
     section("Table 1 — solvability characterization (predicted vs. empirical)");
-    let mut cells: Vec<Value> = Vec::new();
-    let mut record = |cfg: &SystemConfig, model: &str, empirical: &str| {
-        cells.push(Value::obj([
-            ("n", Value::Int(cfg.n as i64)),
-            ("ell", Value::Int(cfg.ell as i64)),
-            ("t", Value::Int(cfg.t as i64)),
-            ("model", Value::str(model)),
-            ("predicted_solvable", Value::Bool(bounds::solvable(cfg))),
-            ("empirical", Value::str(empirical)),
-        ]));
-    };
 
     println!("-- synchronous, unrestricted (bound: ell > 3t) --");
     for (n, ell, t) in [
@@ -100,16 +94,18 @@ fn table1() -> Value {
                 let report = fig1::run(&factory, &sys, factory.round_bound() + 9);
                 match report.failing_view() {
                     Some((name, verdict)) => {
-                        format!("Figure 1 ring: view {name} {verdict}")
+                        (format!("Figure 1 ring: view {name} {verdict}"), true)
                     }
-                    None => "Figure 1 ring: no violation (unexpected)".to_string(),
+                    None => ("Figure 1 ring: no violation".to_string(), false),
                 }
             } else {
-                "unsolvable (subsumed by the ell = 3t ring)".to_string()
+                (
+                    "unsolvable (subsumed by the ell = 3t ring)".to_string(),
+                    true,
+                )
             }
         };
-        record(&cfg, "sync_unrestricted", &empirical);
-        println!("{}", cell_line(&cfg, &empirical));
+        table1_cell(&cfg, empirical);
     }
 
     println!("-- partially synchronous, unrestricted (bound: 2*ell > n + 3t) --");
@@ -127,15 +123,15 @@ fn table1() -> Value {
             let factory = fig5_factory(n, ell, t);
             let outcome = fig4::run(&factory, cfg, 8 * 14);
             if outcome.split_brain() {
-                "Figure 4 partition: split-brain (0-side -> 0, 1-side -> 1)".to_string()
+                let text = "Figure 4 partition: split-brain (0-side -> 0, 1-side -> 1)";
+                (text.to_string(), true)
             } else if outcome.violation_exhibited() {
-                "Figure 4 partition: violation exhibited".to_string()
+                ("Figure 4 partition: violation exhibited".to_string(), true)
             } else {
-                "no violation (unexpected)".to_string()
+                ("no violation".to_string(), false)
             }
         };
-        record(&cfg, "psync_unrestricted", &empirical);
-        println!("{}", cell_line(&cfg, &empirical));
+        table1_cell(&cfg, empirical);
     }
 
     println!("-- restricted Byzantine, numerate (bound: ell > t) --");
@@ -158,13 +154,13 @@ fn table1() -> Value {
                 &[false, true],
                 8 * 5,
             );
-            format!(
+            let text = format!(
                 "Lemma 21: adversary persona controls outcome (multivalent = {})",
                 report.multivalent()
-            )
+            );
+            (text, report.multivalent())
         };
-        record(&cfg, "restricted_numerate", &empirical);
-        println!("{}", cell_line(&cfg, &empirical));
+        table1_cell(&cfg, empirical);
     }
 
     println!("-- restricted Byzantine, innumerate (restriction does not help) --");
@@ -173,7 +169,7 @@ fn table1() -> Value {
         "n=4  ell=2  t=1 | predicted unsolvable | empirical: numerate decides = {}, innumerate decides = {}",
         starvation.numerate_decides, starvation.innumerate_decides
     );
-    Value::Arr(cells)
+    assert!(starvation.numerate_decides && !starvation.innumerate_decides);
 }
 
 fn figure1() {
@@ -197,6 +193,10 @@ fn figure1() {
                 verdict
             );
         }
+        assert!(
+            report.views_legal && report.failing_view().is_some(),
+            "Figure 1 ring at n={n} t={t} must break some legal view"
+        );
     }
 }
 
@@ -205,7 +205,12 @@ fn figure4() {
     for (n, ell, t) in [(5usize, 4usize, 1usize), (7, 5, 1), (8, 5, 1)] {
         let cfg = psync_cfg(n, ell, t);
         let factory = fig5_factory(n, ell, t);
-        match fig4::run(&factory, cfg, 8 * 14) {
+        let outcome = fig4::run(&factory, cfg, 8 * 14);
+        assert!(
+            outcome.split_brain(),
+            "Figure 4 partition at n={n} ell={ell} t={t} must split-brain"
+        );
+        match outcome {
             fig4::Fig4Outcome::Partitioned {
                 zero_side,
                 one_side,
@@ -281,9 +286,8 @@ fn broadcast_latency() {
     );
 }
 
-fn fig5_latency() -> Value {
+fn fig5_latency() {
     section("Figure 5 — decision latency vs. stabilization time (E8)");
-    let mut points = Vec::new();
     for gst in [0u64, 8, 16, 24] {
         let report = run_fig5(4, 4, 1, gst, 3);
         println!(
@@ -292,17 +296,7 @@ fn fig5_latency() -> Value {
             report.messages_sent,
             report.messages_dropped
         );
-        points.push(Value::obj([
-            ("gst", Value::Int(gst as i64)),
-            ("decided_round", decided_round_value(&report)),
-            ("messages_sent", Value::Int(report.messages_sent as i64)),
-            (
-                "messages_dropped",
-                Value::Int(report.messages_dropped as i64),
-            ),
-        ]));
     }
-    Value::Arr(points)
 }
 
 fn restricted_vs_unrestricted() {
@@ -417,10 +411,9 @@ fn model_equivalence() {
     println!("same protocol, three timing models, agreement every time");
 }
 
-fn price_of_homonymy() -> Value {
+fn price_of_homonymy() {
     section("Price of homonymy — ℓ sweep at n = 8, t = 1 (E15)");
     println!("ℓ = n is the classical DLS baseline; the wall is 2ℓ > n + 3t (ℓ ≥ 6)");
-    let mut points = Vec::new();
     for ell in [8usize, 7, 6] {
         let report = run_fig5(8, ell, 1, 8, 3);
         println!(
@@ -429,13 +422,7 @@ fn price_of_homonymy() -> Value {
             report.messages_sent
         );
         assert!(report.verdict.all_hold());
-        points.push(Value::obj([
-            ("ell", Value::Int(ell as i64)),
-            ("decided_round", decided_round_value(&report)),
-            ("messages_sent", Value::Int(report.messages_sent as i64)),
-        ]));
     }
-    Value::Arr(points)
 }
 
 fn restriction_boundary() {
@@ -475,17 +462,8 @@ fn restriction_boundary() {
     );
 }
 
-fn complexity_study() -> Value {
+fn complexity_study() {
     section("Complexity study — rounds & messages across the families (E18)");
-    let mut points = Vec::new();
-    let mut record = |protocol: &str, n: usize, report: &homonym_sim::RunReport<bool>| {
-        points.push(Value::obj([
-            ("protocol", Value::str(protocol)),
-            ("n", Value::Int(n as i64)),
-            ("decided_round", decided_round_value(report)),
-            ("messages_sent", Value::Int(report.messages_sent as i64)),
-        ]));
-    };
     println!("(the paper's conclusion: \"complexity is yet to be explored\")");
     println!("\nscaling in n, fixed (ell, t) — messages grow ~ n², rounds stay flat:");
     println!(
@@ -494,7 +472,6 @@ fn complexity_study() -> Value {
     );
     for n in [4usize, 6, 8, 10] {
         let r = run_t_eig_clean(n, 4, 1);
-        record("t_eig_l4", n, &r);
         println!(
             "{:>14} | {:>6} | {:>16} | {:>9}",
             "T(EIG) l=4",
@@ -507,7 +484,6 @@ fn complexity_study() -> Value {
     for n in [4usize, 5] {
         let ell = 2 * n - 4; // keep 2ℓ > n + 3 comfortably
         let r = run_fig5(n, ell.min(n), 1, 0, 3);
-        record("fig5", n, &r);
         println!(
             "{:>14} | {:>6} | {:>16} | {:>9}",
             format!("Fig5 l={}", ell.min(n)),
@@ -519,7 +495,6 @@ fn complexity_study() -> Value {
     }
     for n in [4usize, 7, 10] {
         let r = run_fig7(n, 2, 1, 0, 3);
-        record("fig7_l2", n, &r);
         println!(
             "{:>14} | {:>6} | {:>16} | {:>9}",
             "Fig7 l=2",
@@ -543,134 +518,10 @@ fn complexity_study() -> Value {
             restricted.all_decided_round.map(|x| x.index()),
         );
     }
-    Value::Arr(points)
 }
 
-fn shard_throughput() -> Value {
-    section("Shard throughput — K instances over one delivery plane (E19)");
-    println!("(same `measure_sharded` code path as BENCH_shards.json, so the two artifacts cannot drift)");
-    println!(
-        "{:>12} | {:>4} | {:>4} | {:>14} | {:>9} | {:>14}",
-        "protocol", "k", "n", "decisions/sec", "messages", "msgs/decision"
-    );
-    let mut series = Vec::new();
-    let mut record = |entry: Value| {
-        let rate = entry
-            .get("decisions_per_sec")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        let msgs = entry
-            .get("messages_sent")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        let per = entry
-            .get("messages_per_decision")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        let (protocol, k, n) = (
-            match entry.get("protocol") {
-                Some(Value::Str(s)) => s.clone(),
-                _ => "?".into(),
-            },
-            entry.get("k").and_then(Value::as_f64).unwrap_or(0.0),
-            entry.get("n").and_then(Value::as_f64).unwrap_or(0.0),
-        );
-        println!("{protocol:>12} | {k:>4} | {n:>4} | {rate:>14.0} | {msgs:>9} | {per:>14.1}");
-        series.push(entry);
-    };
-    for k in [1usize, 4, 16] {
-        record(measure_sharded("sync_t_eig", k, 8, 4, 1, 4, || {
-            run_sharded_t_eig(k, 8, 4, 1, 4, true)
-        }));
-    }
-    for k in [1usize, 4] {
-        record(measure_sharded("psync_fig5", k, 16, 10, 1, 2, || {
-            run_sharded_fig5(k, 16, 10, 1, 2, true)
-        }));
-    }
-    Value::Arr(series)
-}
-
-fn bundle_path() -> Value {
-    section("Bundle path — Figure 5 hot-path throughput (E20)");
-    println!("(same psync_fig5 series as BENCH_fabric.json; the per-round number is what the interned/incremental bundle path moves)");
-    println!(
-        "{:>10} | {:>4} | {:>4} | {:>12} | {:>14} | {:>12}",
-        "protocol", "n", "ell", "time_ms", "msgs/sec", "ms/round"
-    );
-    let mut series = Vec::new();
-    for n in [32usize, 64] {
-        let ell = n / 2 + 2;
-        let start = std::time::Instant::now();
-        let report = run_fig5(n, ell, 1, 0, 3);
-        let time_ns = start.elapsed().as_nanos() as i64;
-        assert!(report.verdict.all_hold(), "psync_fig5 n={n} must decide");
-        let rate = report.messages_sent as f64 / (time_ns as f64 / 1e9);
-        let per_round = time_ns as f64 / report.rounds.max(1) as f64;
-        println!(
-            "{:>10} | {n:>4} | {ell:>4} | {:>12.2} | {rate:>14.0} | {:>12.3}",
-            "psync_fig5",
-            time_ns as f64 / 1e6,
-            per_round / 1e6,
-        );
-        series.push(Value::obj([
-            ("protocol", Value::str("psync_fig5")),
-            ("n", Value::Int(n as i64)),
-            ("ell", Value::Int(ell as i64)),
-            ("t", Value::Int(1)),
-            ("time_ns", Value::Int(time_ns)),
-            ("rounds", Value::Int(report.rounds as i64)),
-            ("ns_per_round", Value::Num(per_round)),
-            ("decided_round", decided_round_value(&report)),
-            ("messages_sent", Value::Int(report.messages_sent as i64)),
-            ("messages_per_sec", Value::Num(rate)),
-        ]));
-    }
-    Value::Arr(series)
-}
-
-fn exact_vs_estimate() -> Value {
-    section("Exact vs. estimated wire bits — Figure 5 workload (§14)");
-    println!(
-        "(every bundle of a clean Figure 5 run; exact frame bits from the codec vs. the \
-         retired WireSize structural estimate — the bits_sent series behind the \
-         arXiv:2311.08060 quadratic-cost reproduction is now the exact column)"
-    );
-    println!(
-        "{:>4} | {:>4} | {:>8} | {:>14} | {:>14} | {:>14}",
-        "n", "ell", "bundles", "exact_bits", "estimate_bits", "estimate/exact"
-    );
-    let mut series = Vec::new();
-    for n in [32usize, 64] {
-        let ell = n / 2 + 2;
-        let bundles = fig5_wire_bundles(n);
-        let exact: u64 = bundles.iter().map(|b| codec::frame_bits(&**b)).sum();
-        #[allow(deprecated)]
-        let estimate: u64 = bundles.iter().map(|b| b.wire_bits()).sum();
-        let ratio = estimate as f64 / exact as f64;
-        println!(
-            "{n:>4} | {ell:>4} | {:>8} | {exact:>14} | {estimate:>14} | {ratio:>14.3}",
-            bundles.len()
-        );
-        series.push(Value::obj([
-            ("n", Value::Int(n as i64)),
-            ("ell", Value::Int(ell as i64)),
-            ("t", Value::Int(1)),
-            ("bundles", Value::Int(bundles.len() as i64)),
-            ("exact_bits", Value::Int(exact as i64)),
-            ("estimate_bits", Value::Int(estimate as i64)),
-            ("estimate_over_exact", Value::Num(ratio)),
-            (
-                "exact_bits_per_bundle",
-                Value::Num(exact as f64 / bundles.len().max(1) as f64),
-            ),
-        ]));
-    }
-    Value::Arr(series)
-}
-
-fn bounded_vs_faithful() -> Value {
-    section("Bounded-state broadcast — faithful vs. bounded Figure 5 (§15)");
+fn bounded_vs_faithful() {
+    section("Bounded-state broadcast — faithful vs. bounded Figure 5 (§12)");
     println!(
         "(split-input full-delivery runs driven to decision + a 64-round steady-state tail; \
          the faithful stack rebroadcasts its whole echo history every round, the bounded \
@@ -681,7 +532,6 @@ fn bounded_vs_faithful() -> Value {
         "protocol", "n", "decided", "bits_sent", "b/rnd mid", "b/rnd end", "state_bits"
     );
     let tail = 64u64;
-    let mut series = Vec::new();
     for n in [32usize, 64] {
         let mut decided = Vec::new();
         for (protocol, profile) in [
@@ -695,29 +545,12 @@ fn bounded_vs_faithful() -> Value {
                 profile.decided_round, profile.total_bits, profile.state_bits
             );
             decided.push(profile.decided_round);
-            series.push(Value::obj([
-                ("protocol", Value::str(protocol)),
-                ("n", Value::Int(n as i64)),
-                ("ell", Value::Int((n / 2 + 2) as i64)),
-                ("t", Value::Int(1)),
-                ("decided_round", Value::Int(profile.decided_round as i64)),
-                ("tail_rounds", Value::Int(tail as i64)),
-                ("bits_sent", Value::Int(profile.total_bits as i64)),
-                ("bits_per_round_mid", Value::Int(mid as i64)),
-                ("bits_per_round_end", Value::Int(end as i64)),
-                ("state_bits", Value::Int(profile.state_bits as i64)),
-                (
-                    "peak_state_bits",
-                    Value::Int(profile.peak_state_bits as i64),
-                ),
-            ]));
         }
         assert_eq!(
             decided[0], decided[1],
             "bounded n={n} must decide in the same round as faithful"
         );
     }
-    Value::Arr(series)
 }
 
 fn headline() {
@@ -732,39 +565,20 @@ fn headline() {
 
 fn main() {
     println!("Byzantine Agreement with Homonyms — paper reproduction report");
-    let table1_cells = table1();
+    table1();
     figure1();
     figure4();
     transformer_overhead();
     broadcast_latency();
-    let fig5_points = fig5_latency();
+    fig5_latency();
     restricted_vs_unrestricted();
     lemma21();
     ablations();
     model_equivalence();
-    let homonymy_price = price_of_homonymy();
+    price_of_homonymy();
     restriction_boundary();
-    let complexity = complexity_study();
-    let shard_series = shard_throughput();
-    let bundle_series = bundle_path();
-    let wire_audit = exact_vs_estimate();
-    let bounded_series = bounded_vs_faithful();
+    complexity_study();
+    bounded_vs_faithful();
     headline();
-
-    let doc = Value::obj([
-        ("report", Value::str("paper_report")),
-        ("table1", table1_cells),
-        ("fig5_latency", fig5_points),
-        ("price_of_homonymy", homonymy_price),
-        ("complexity_study", complexity),
-        ("shard_throughput", shard_series),
-        ("bundle_path", bundle_series),
-        ("exact_vs_estimate", wire_audit),
-        ("bounded_vs_faithful", bounded_series),
-    ]);
-    match write_bench_json("paper_report", &doc) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("failed to write BENCH_paper_report.json: {e}"),
-    }
     println!("report complete");
 }

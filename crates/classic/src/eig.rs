@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use homonym_core::codec::{DecodeError, Reader, WireDecode, WireEncode, Writer};
-use homonym_core::{Domain, Id, Value, WireSize};
+use homonym_core::{Domain, Id, Value};
 
 use crate::interface::SyncBa;
 
@@ -64,12 +64,6 @@ impl<V: Value> EigState<V> {
 /// One round's broadcast: `val(σ)` for every level-`r−1` path `σ` the
 /// sender may relay (its own identifier not in `σ`).
 pub type EigMsg<V> = BTreeMap<Path, V>;
-
-impl<V: Value + WireSize> WireSize for EigState<V> {
-    fn wire_bits(&self) -> u64 {
-        self.id.wire_bits() + self.tree.wire_bits() + self.decided.wire_bits()
-    }
-}
 
 impl<V: Value + WireEncode> WireEncode for EigState<V> {
     fn encode(&self, w: &mut Writer) {

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use homonym_core::codec::{DecodeError, Reader, WireDecode, WireEncode, Writer};
-use homonym_core::{Domain, Id, Value, WireSize};
+use homonym_core::{Domain, Id, Value};
 
 use crate::interface::SyncBa;
 
@@ -61,23 +61,6 @@ pub enum PhaseKingMsg<V> {
     Pref(V),
     /// The king's broadcast (second round of a phase).
     King(V),
-}
-
-impl<V: Value + WireSize> WireSize for PhaseKingMsg<V> {
-    fn wire_bits(&self) -> u64 {
-        match self {
-            PhaseKingMsg::Pref(v) | PhaseKingMsg::King(v) => v.wire_bits(),
-        }
-    }
-}
-
-impl<V: Value + WireSize> WireSize for PhaseKingState<V> {
-    fn wire_bits(&self) -> u64 {
-        self.id.wire_bits()
-            + self.pref.wire_bits()
-            + self.maj.wire_bits()
-            + self.decided.wire_bits()
-    }
 }
 
 impl<V: Value + WireEncode> WireEncode for PhaseKingMsg<V> {

@@ -1,13 +1,12 @@
 //! The exact binary wire codec: varint-based, zero-copy, hand-rolled.
 //!
-//! The workspace's cost instrumentation (the arXiv:2311.08060 message/
-//! bit-cost reproduction in `paper_report`) used to report a structural
-//! *estimate* ([`WireSize`](crate::WireSize)) because no serialization
-//! layer existed. This module is that layer: [`WireEncode`]/[`WireDecode`]
-//! are a trait pair over a byte-oriented [`Writer`]/[`Reader`], and every
-//! `Msg` type in the workspace implements both, so `bits_sent` roll-ups
-//! are the exact encoded length of what a networked transport would put
-//! on the wire — no `Debug` formatting, no structural guessing.
+//! This is the serialization layer behind the workspace's cost
+//! instrumentation (the arXiv:2311.08060 message/bit-cost reproduction):
+//! [`WireEncode`]/[`WireDecode`] are a trait pair over a byte-oriented
+//! [`Writer`]/[`Reader`], and every `Msg` type in the workspace
+//! implements both, so `bits_sent` roll-ups are the exact encoded length
+//! of what a networked transport would put on the wire — no `Debug`
+//! formatting, no structural guessing.
 //!
 //! # Frame layout
 //!

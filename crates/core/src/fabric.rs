@@ -161,6 +161,7 @@ impl<M: Clone + Ord> FrameInterner<M> {
 
     /// The frame token for one emission's payload, interning it on first
     /// sight (an `Arc` clone, never a payload clone).
+    #[inline]
     pub fn tok_for(&mut self, msg: &Arc<M>) -> Tok {
         let ptr = Arc::as_ptr(msg) as usize;
         if let Some(&tok) = self.memo.get(&ptr) {
@@ -435,6 +436,7 @@ impl<M: Message> DeliverySlots<'_, M> {
     /// # Panics
     ///
     /// Panics if `to` is outside this view's range.
+    #[inline]
     pub fn push(&mut self, to: Pid, envelope: SharedEnvelope<M>) {
         self.bucket(to).push(envelope);
     }

@@ -5,8 +5,7 @@
 //! `(payload, superround, identifier)` key. Payloads are deep values
 //! (candidate sets, vote tuples), so keying maps on them directly means a
 //! deep clone per observed item and a deep comparison per map probe —
-//! `O(rounds × n × active echoes)` clones, the protocol-side wall the
-//! `fabric_scaling` bench exposes. An [`Interner`] maps each distinct
+//! `O(rounds × n × active echoes)` clones. An [`Interner`] maps each distinct
 //! payload to a dense `u32` token exactly once; from then on the hot maps
 //! key on small `Copy` tuples and the payload is only touched again when a
 //! wire bundle is rebuilt or an accept fires.

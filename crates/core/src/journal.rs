@@ -277,8 +277,7 @@ impl MemJournal {
         self.staged.clear();
     }
 
-    /// Total durable payload bytes (the journal-size metric the recovery
-    /// bench reports).
+    /// Total durable payload bytes.
     pub fn synced_bytes(&self) -> u64 {
         self.synced.iter().map(|r| r.len() as u64).sum()
     }

@@ -29,9 +29,6 @@
 //! * [`codec`] — the exact binary wire codec ([`WireEncode`] /
 //!   [`WireDecode`]) behind the message/bit-cost instrumentation and the
 //!   token-framed delivery path,
-//! * [`WireSize`] — the *deprecated* structural wire-size estimate the
-//!   codec replaced (kept for the estimate-vs-exact comparison in
-//!   `paper_report`),
 //! * [`scenario`] — seeded, serializable scenario schedules (timed
 //!   Byzantine/drop/topology/churn events with per-component sub-streams),
 //!   the replayable fuzz corpus every execution backend shares,
@@ -73,7 +70,6 @@ mod process;
 pub mod scenario;
 pub mod spec;
 mod value;
-mod wire;
 
 pub use chain::{ChainMsg, HeightChain, HeightChainFactory};
 pub use codec::{DecodeError, Reader, WireDecode, WireEncode, Writer};
@@ -90,4 +86,3 @@ pub use scenario::{
     sub_seed, DropSpec, RecoveryMode, Schedule, ScheduleEvent, StrategyKind, TimedEvent,
 };
 pub use value::{Domain, ProperSet, Value};
-pub use wire::WireSize;

@@ -206,8 +206,8 @@ pub trait Protocol {
     }
 
     /// The codec-exact size of this process's snapshot in bits (0 when
-    /// snapshots are unsupported) — the snapshot-size metric the recovery
-    /// bench reports.
+    /// snapshots are unsupported); `tests/recovery_parity.rs` pins it for
+    /// classic EIG.
     fn snapshot_bits(&self) -> u64 {
         self.snapshot().map_or(0, |b| 8 * b.len() as u64)
     }

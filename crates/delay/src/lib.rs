@@ -34,8 +34,8 @@
 //! ceases from some round on (`clean_from`), so the protocols built for
 //! the basic model — `homonym_psync::HomonymAgreement` with
 //! `2ℓ > n + 3t`, `homonym_psync::RestrictedAgreement` with `ℓ > t` —
-//! decide unchanged. The `model_equivalence` integration tests and the
-//! `delay_models` bench exercise both directions.
+//! decide unchanged. The `model_equivalence` integration tests exercise
+//! both directions.
 //!
 //! # Example
 //!

@@ -22,9 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use homonym_core::codec::{DecodeError, Reader, WireDecode, WireEncode, Writer};
-use homonym_core::{
-    Domain, Id, Inbox, Protocol, ProtocolFactory, Recipients, Round, Value, WireSize,
-};
+use homonym_core::{Domain, Id, Inbox, Protocol, ProtocolFactory, Recipients, Round, Value};
 
 use crate::broadcast::{EchoBroadcast, EchoItem};
 
@@ -172,33 +170,6 @@ impl<V: std::fmt::Debug> std::fmt::Debug for Bundle<V> {
             .field("directs", &self.directs)
             .field("proper", &self.proper)
             .finish()
-    }
-}
-
-impl<V: Value + WireSize> WireSize for Payload<V> {
-    fn wire_bits(&self) -> u64 {
-        match self {
-            Payload::Propose { values, ph } => values.wire_bits() + ph.wire_bits(),
-            Payload::Vote { v, ph } => v.wire_bits() + ph.wire_bits(),
-        }
-    }
-}
-
-impl<V: Value + WireSize> WireSize for Direct<V> {
-    fn wire_bits(&self) -> u64 {
-        match self {
-            Direct::Lock { v, ph } | Direct::Ack { v, ph } => v.wire_bits() + ph.wire_bits(),
-            Direct::Decide { v } => v.wire_bits(),
-        }
-    }
-}
-
-impl<V: Value + WireSize> WireSize for Bundle<V> {
-    fn wire_bits(&self) -> u64 {
-        self.inits.wire_bits()
-            + self.echoes.wire_bits()
-            + self.directs.wire_bits()
-            + self.proper.wire_bits()
     }
 }
 
@@ -988,13 +959,6 @@ impl<V: Value> ProtocolFactory for AgreementFactory<V> {
         p.vote_superround = self.vote_superround;
         p
     }
-}
-
-/// The classical Dwork–Lynch–Stockmeyer special case: unique identifiers
-/// (`ℓ = n`), where the quorums degenerate to the familiar `n − t`
-/// process quorums. Used as the baseline in the benches.
-pub fn classic_dls_factory<V: Value>(n: usize, t: usize, domain: Domain<V>) -> AgreementFactory<V> {
-    AgreementFactory::new(n, n, t, domain)
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use homonym_core::codec::{DecodeError, Reader, WireDecode, WireEncode, Writer};
 use homonym_core::intern::Tok;
-use homonym_core::{Id, IdBits, Interner, Message, Round, WireSize};
+use homonym_core::{Id, IdBits, Interner, Message, Round};
 
 /// An `⟨echo m, r, i⟩` item: this sender vouches that identifier `src`
 /// performed `Broadcast(payload)` in superround `sr`.
@@ -52,12 +52,6 @@ impl<M> EchoItem<M> {
             sr,
             src,
         }
-    }
-}
-
-impl<M: WireSize> WireSize for EchoItem<M> {
-    fn wire_bits(&self) -> u64 {
-        self.payload.wire_bits() + self.sr.wire_bits() + self.src.wire_bits()
     }
 }
 

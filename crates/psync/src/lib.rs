@@ -45,7 +45,7 @@ mod mult_broadcast;
 mod proptests;
 mod restricted;
 
-pub use agreement::{classic_dls_factory, AgreementFactory, Bundle, HomonymAgreement, Payload};
+pub use agreement::{AgreementFactory, Bundle, HomonymAgreement, Payload};
 pub use bounded::{
     BoundedAgreement, BoundedAgreementFactory, BoundedBundle, BoundedEchoBroadcast,
     DEFAULT_WINDOW_SUPERROUNDS,

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 
 use homonym_core::codec::{DecodeError, Reader, WireDecode, WireEncode, Writer};
 use homonym_core::intern::Tok;
-use homonym_core::{Id, Interner, Message, Round, WireSize};
+use homonym_core::{Id, Interner, Message, Round};
 
 /// The per-round wire part of the multiplicity broadcast: the sender's
 /// `⟨init⟩` tuples (its own identifier is implicit — identifiers cannot be
@@ -37,12 +37,6 @@ pub struct MultPart<M> {
     pub inits: BTreeMap<M, u64>,
     /// `(echo, h, α, m, k)` tuples, keyed by `(h, m, k)`.
     pub echoes: BTreeMap<(Id, M, u64), u64>,
-}
-
-impl<M: WireSize> WireSize for MultPart<M> {
-    fn wire_bits(&self) -> u64 {
-        self.inits.wire_bits() + self.echoes.wire_bits()
-    }
 }
 
 impl<M: WireEncode> WireEncode for MultPart<M> {

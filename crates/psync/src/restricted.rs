@@ -20,7 +20,7 @@ use std::sync::Arc;
 use homonym_core::codec::{DecodeError, Reader, WireDecode, WireEncode, Writer};
 use homonym_core::intern::Tok;
 use homonym_core::{
-    Domain, Id, Inbox, Interner, Protocol, ProtocolFactory, Recipients, Round, Value, WireSize,
+    Domain, Id, Inbox, Interner, Protocol, ProtocolFactory, Recipients, Round, Value,
 };
 
 use crate::mult_broadcast::{MultBroadcast, MultPart};
@@ -63,22 +63,6 @@ pub struct RestrictedBundle<V> {
     part: MultPart<RestrictedPayload<V>>,
     directs: BTreeSet<Direct<V>>,
     proper: BTreeSet<V>,
-}
-
-impl<V: Value + WireSize> WireSize for RestrictedPayload<V> {
-    fn wire_bits(&self) -> u64 {
-        match self {
-            RestrictedPayload::Propose(v) | RestrictedPayload::Vote(v) => v.wire_bits(),
-        }
-    }
-}
-
-impl<V: Value + WireSize> WireSize for Direct<V> {
-    fn wire_bits(&self) -> u64 {
-        match self {
-            Direct::Lock { v, ph } | Direct::Ack { v, ph } => v.wire_bits() + ph.wire_bits(),
-        }
-    }
 }
 
 impl<V: Value + WireEncode> WireEncode for RestrictedPayload<V> {
@@ -160,12 +144,6 @@ impl<V: Value + WireDecode> WireDecode for RestrictedBundle<V> {
             directs: BTreeSet::decode(r)?,
             proper: BTreeSet::decode(r)?,
         })
-    }
-}
-
-impl<V: Value + WireSize> WireSize for RestrictedBundle<V> {
-    fn wire_bits(&self) -> u64 {
-        self.part.wire_bits() + self.directs.wire_bits() + self.proper.wire_bits()
     }
 }
 

@@ -308,14 +308,10 @@ impl<M: homonym_core::Message> ShardedTrace<M> {
 /// encoding's length under [`homonym_core::codec`] (one version byte plus
 /// the varint-based payload encoding).
 ///
-/// Until the codec landed this was a structural *estimate*
-/// (`WireSize`, and before that, `Debug`-string bytes). It is computed
-/// **once per emission** into a thread-local scratch buffer (the `Arc`
-/// fan-out shares the number with every recipient), so measuring bits
-/// neither allocates at steady state nor changes the clone-count profile
-/// of the hot path. Absolute numbers differ from both estimates, so the
-/// committed `BENCH_*.json` artifacts were regenerated when the codec
-/// landed.
+/// It is computed **once per emission** into a thread-local scratch
+/// buffer (the `Arc` fan-out shares the number with every recipient), so
+/// measuring bits neither allocates at steady state nor changes the
+/// clone-count profile of the hot path.
 pub fn wire_bits<M: WireEncode>(msg: &M) -> u64 {
     codec::frame_bits(msg)
 }

@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use homonym_classic::SyncBa;
 use homonym_core::codec::{DecodeError, Reader, WireDecode, WireEncode, Writer};
-use homonym_core::{Id, Inbox, Protocol, ProtocolFactory, Recipients, Round, WireSize};
+use homonym_core::{Id, Inbox, Protocol, ProtocolFactory, Recipients, Round};
 
 /// The phase-relative position of a round: each phase of `T(A)` is three
 /// rounds.
@@ -73,16 +73,6 @@ impl<S: WireDecode, M: WireDecode, V: WireDecode> WireDecode for TransformerMsg<
                 what: "TransformerMsg",
                 tag,
             }),
-        }
-    }
-}
-
-impl<S: WireSize, M: WireSize, V: WireSize> WireSize for TransformerMsg<S, M, V> {
-    fn wire_bits(&self) -> u64 {
-        match self {
-            TransformerMsg::State(s) => s.wire_bits(),
-            TransformerMsg::Decide(d) => d.wire_bits(),
-            TransformerMsg::Run(m) => m.wire_bits(),
         }
     }
 }
@@ -285,8 +275,8 @@ impl<A: SyncBa + Clone> TransformedFactory<A> {
     /// rounds are useful for correct processes that belong to a group with
     /// a Byzantine process": such a process's selection round can be
     /// hijacked forever by a minimal Byzantine state, so without the relay
-    /// it never decides — the `ablation_decide_relay` tests and bench
-    /// measure exactly that failure.
+    /// it never decides — `tests/ablations.rs` exhibits exactly that
+    /// failure.
     ///
     /// # Panics
     ///

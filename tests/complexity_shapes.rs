@@ -1,6 +1,6 @@
-//! Shape assertions for the cost claims in EXPERIMENTS.md (E6–E9): not
-//! absolute numbers, but the relationships the paper's constructions
-//! imply. If an implementation change breaks one of these, the benches'
+//! Shape assertions for the cost claims `paper_report` prints (E6–E9):
+//! not absolute numbers, but the relationships the paper's constructions
+//! imply. If an implementation change breaks one of these, the report's
 //! narrative is stale.
 
 use homonyms::classic::{Eig, SyncBa, UniqueRunner};

@@ -292,6 +292,37 @@ proptest! {
     }
 }
 
+/// Snapshotted recovery of classic EIG at n = 32 with a snapshot every
+/// round: the victim's codec-exact snapshot after round 0 is 824 bits
+/// (any change to the `EigState` encoding moves it), and restoring it is
+/// unobservable.
+#[test]
+fn classic_eig_snapshot_bits_are_pinned() {
+    let n = 32;
+    let factory = eig_factory(n, 1);
+    let victim = Pid::new(0);
+    let builder = || {
+        let inputs = (0..n).map(|k| k % 3 == 0).collect();
+        Simulation::builder(sync_cfg(n, n, 1), IdAssignment::unique(n), inputs)
+    };
+    let mut golden = builder().build_with(&factory);
+    golden.run(8);
+    assert!(golden.all_decided());
+
+    let mut sim = builder().durable(1).build_with(&factory);
+    sim.step();
+    let snapshot_bits = sim
+        .processes()
+        .find(|(pid, _)| *pid == victim)
+        .map(|(_, p)| p.snapshot_bits());
+    assert_eq!(snapshot_bits, Some(824));
+    sim.crash(victim).expect("victim is live");
+    sim.recover_with(&factory, victim, RecoveryMode::Durable)
+        .expect("durable recovery");
+    sim.run(8);
+    assert_eq!(sim.decisions(), golden.decisions());
+}
+
 /// A corrupt file-backed WAL yields a typed `RecoveryFailed`, and the
 /// engine state is unchanged (the pid stays crashed).
 #[test]
