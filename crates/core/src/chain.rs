@@ -4,8 +4,8 @@
 //! height getting a fixed `budget` of rounds, and records the decided
 //! value of every height in a ledger. The chain is itself a [`Protocol`],
 //! so height `h + 1` reuses everything the execution fabric allocated for
-//! height `h` — the delivery slot plane, the frame interner, the engine's
-//! inboxes — while the inner automaton is *replaced* at each height
+//! height `h` — the cast list, the routing plan, the frame interner —
+//! while the inner automaton is *replaced* at each height
 //! boundary: steady-state memory per height is the footprint of one inner
 //! instance plus one ledger slot, which the `state_bits` accounting in
 //! `RunReport` turns into a tested number. This is the substrate the
@@ -178,9 +178,9 @@ where
     /// Rolls forward to the height containing `round`: finalizes each
     /// passed height from the inner decision (peers' reports back-fill
     /// the slot later if the inner instance missed it) and replaces the
-    /// inner automaton with a fresh spawn. The fabric-side state — slot
-    /// plane, interner, inboxes — carries over untouched; this replacement
-    /// is what makes per-height memory O(1).
+    /// inner automaton with a fresh spawn. The fabric-side state — cast
+    /// list, routing plan, interner — carries over untouched; this
+    /// replacement is what makes per-height memory O(1).
     fn roll_to(&mut self, target: u64) {
         while self.height < target {
             let h = self.height;

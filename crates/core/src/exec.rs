@@ -4,9 +4,8 @@
 //! Both sharded engines (`homonym_sim::shards::ShardedSimulation` and
 //! `homonym_runtime::ShardedCluster`) advance K independent agreement
 //! instances one round per global tick, and within a tick the shards are
-//! embarrassingly parallel: each owns a disjoint slot range of the shared
-//! [`Deliveries`](crate::Deliveries) plane and never reads another
-//! shard's state. An [`Executor`] abstracts *how* that per-tick batch of
+//! embarrassingly parallel: each owns its cast list and routing plan and
+//! never reads another shard's state. An [`Executor`] abstracts *how* that per-tick batch of
 //! shard steps runs:
 //!
 //! * [`Sequential`] — in task order on the calling thread (the original
@@ -21,8 +20,8 @@
 //!
 //! Executors promise nothing about *interleaving*, only about result
 //! order — callers must hand them tasks that are independent (each task
-//! owns `&mut` access to disjoint data, e.g. via
-//! [`Deliveries::split_slots`](crate::Deliveries::split_slots)).
+//! owns `&mut` access to disjoint data, e.g. one pid chunk of one
+//! instance's processes).
 //!
 //! Later backends (async runtimes, multi-backend routing) are expected to
 //! reuse this boundary rather than re-invent per-engine threading.

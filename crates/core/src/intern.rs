@@ -230,10 +230,15 @@ impl IdBits {
 
     /// Iterates over the set indices, ascending.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &bits)| {
-            (0..64)
-                .filter(move |b| bits & (1u64 << b) != 0)
-                .map(move |b| w * 64 + b)
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
         })
     }
 }
@@ -288,6 +293,15 @@ mod tests {
         assert_eq!(b.len(), 0);
         assert!(!b.contains(3) && !b.contains(200));
         assert!(b.insert(3), "cleared indices insert as new");
+    }
+
+    #[test]
+    fn iter_walks_both_ends_of_a_word() {
+        let mut b = IdBits::new();
+        for idx in [63usize, 0, 127, 64] {
+            b.insert(idx);
+        }
+        assert_eq!(b.iter().collect::<Vec<_>>(), vec![0, 63, 64, 127]);
     }
 
     #[test]

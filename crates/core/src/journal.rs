@@ -14,8 +14,9 @@
 //! * [`JournalEntry`] — the typed record layer: per-round delivered
 //!   envelopes and versioned state snapshots, encoded with the exact wire
 //!   codec ([`crate::codec`]).
-//! * [`DeliveryRecords`] — the engines' write side: one round's records
-//!   for every recipient, assembled from frames encoded once each.
+//! * [`DeliveryRecords`] — the engines' write side: one round's records,
+//!   one per recipient or per delivery class, assembled from frames
+//!   encoded once each.
 //! * [`replay`] — rebuilds a process from its entries: restore the last
 //!   snapshot (if any), then re-run `send`/`receive` for every journaled
 //!   round after it.
@@ -45,7 +46,7 @@ use crate::codec::{
     decode_frame, DecodeError, Reader, WireDecode, WireEncode, Writer, FORMAT_VERSION,
 };
 use crate::config::Counting;
-use crate::id::{Id, Pid};
+use crate::id::Id;
 use crate::intern::Tok;
 use crate::message::{Envelope, Inbox};
 use crate::process::{Protocol, Round};
@@ -587,31 +588,37 @@ pub fn encode_deliveries_entry<M: WireEncode>(
     w.into_vec()
 }
 
-/// One round's [`Deliveries`](JournalEntry::Deliveries) records for every
-/// recipient, assembled from frames that are encoded once.
+/// One round's [`Deliveries`](JournalEntry::Deliveries) records, assembled
+/// from frames that are encoded once.
 ///
-/// A broadcast round hands almost every recipient the same frame, so
+/// A broadcast round hands almost every recipient the same frames, so
 /// encoding record by record repeats the codec's work once per recipient.
 /// The builder encodes a frame into a shared arena the first time its
 /// frame token is staged in a round (the engines stamp one token per
 /// distinct payload through their
 /// [`FrameInterner`](crate::fabric::FrameInterner), so equal tokens mean
-/// equal bytes) and splices those bytes into each recipient's record —
-/// byte for byte what [`encode_deliveries_entry`] writes, so the record
-/// format and every reader of it are unaffected.
+/// equal bytes) and splices those bytes into each record — byte for byte
+/// what [`encode_deliveries_entry`] writes, so the record format and every
+/// reader of it are unaffected.
+///
+/// Records are built in numbered *slots*. A record does not name its
+/// recipient, so what a slot stands for is the caller's choice: the
+/// per-actor engines use one slot per recipient, the lock-step engines one
+/// per delivery class (recipients that received the same frames), whose
+/// record they append to every member's journal.
 ///
 /// Per round: [`begin`](DeliveryRecords::begin), one
 /// [`stage`](DeliveryRecords::stage) per delivered envelope in delivery
-/// order, then [`record`](DeliveryRecords::record) for each recipient
-/// that journals the round. Every buffer is reused across rounds, and a
-/// new builder allocates nothing until its first round.
+/// order, then [`record`](DeliveryRecords::record) for each slot that is
+/// journalled. Every buffer is reused across rounds, and a new builder
+/// allocates nothing until its first round.
 #[derive(Debug, Default)]
 pub struct DeliveryRecords {
     /// The round's distinct frames, each encoded once.
     arena: Writer,
     /// Frame token → where its bytes sit in `arena`, this round.
     frames: BTreeMap<Tok, Range<usize>>,
-    /// Per recipient: `(sender identifier, arena range)` in delivery order.
+    /// Per slot: `(sender identifier, arena range)` in delivery order.
     staged: Vec<Vec<(Id, Range<usize>)>>,
     /// The record last assembled.
     record: Writer,
@@ -623,45 +630,45 @@ impl DeliveryRecords {
         DeliveryRecords::default()
     }
 
-    /// Opens a round over recipients `0..n`, forgetting the previous
+    /// Opens a round over slots `0..slots`, forgetting the previous
     /// round's frames and staged envelopes.
-    pub fn begin(&mut self, n: usize) {
+    pub fn begin(&mut self, slots: usize) {
         self.arena.clear();
         self.frames.clear();
-        if self.staged.len() < n {
-            self.staged.resize_with(n, Vec::new);
+        if self.staged.len() < slots {
+            self.staged.resize_with(slots, Vec::new);
         }
         for envelopes in &mut self.staged {
             envelopes.clear();
         }
     }
 
-    /// Stages one envelope delivered to `to`. `msg` is encoded only if no
-    /// frame with token `tok` has been staged since
+    /// Stages one envelope of `slot`'s record. `msg` is encoded only if
+    /// no frame with token `tok` has been staged since
     /// [`begin`](DeliveryRecords::begin).
     ///
     /// # Panics
     ///
-    /// Panics if `to` lies outside the range the round was opened over.
-    pub fn stage<M: WireEncode>(&mut self, to: Pid, src: Id, tok: Tok, msg: &M) {
+    /// Panics if `slot` lies outside the range the round was opened over.
+    pub fn stage<M: WireEncode>(&mut self, slot: usize, src: Id, tok: Tok, msg: &M) {
         let arena = &mut self.arena;
         let span = self.frames.entry(tok).or_insert_with(|| {
             let start = arena.len();
             msg.encode(arena);
             start..arena.len()
         });
-        self.staged[to.index()].push((src, span.clone()));
+        self.staged[slot].push((src, span.clone()));
     }
 
-    /// Assembles `to`'s record for `round` from the envelopes staged for
-    /// it (possibly none: every executed round is journalled). The bytes
-    /// stay valid until the next call on the builder.
+    /// Assembles `slot`'s record for `round` from the envelopes staged
+    /// for it (possibly none: every executed round is journalled). The
+    /// bytes stay valid until the next call on the builder.
     ///
     /// # Panics
     ///
-    /// Panics if `to` lies outside the range the round was opened over.
-    pub fn record(&mut self, round: Round, to: Pid) -> &[u8] {
-        let envelopes = &self.staged[to.index()];
+    /// Panics if `slot` lies outside the range the round was opened over.
+    pub fn record(&mut self, round: Round, slot: usize) -> &[u8] {
+        let envelopes = &self.staged[slot];
         self.record.clear();
         put_deliveries_header(&mut self.record, round, envelopes.len());
         for (src, span) in envelopes {
@@ -853,12 +860,12 @@ mod tests {
                     let msg = Arc::new(*payload);
                     let tok = frames.tok_for(&msg);
                     for to in (0..n).filter(|&to| reach[to]) {
-                        records.stage(Pid::new(to), Id::new(*src), tok, &*msg);
+                        records.stage(to, Id::new(*src), tok, &*msg);
                         staged[to].push((Id::new(*src), Arc::clone(&msg)));
                     }
                 }
                 for to in (0..n).filter(|&to| !skipped[to]) {
-                    let record = records.record(round, Pid::new(to)).to_vec();
+                    let record = records.record(round, to).to_vec();
                     prop_assert_eq!(&record, &encode_deliveries_entry(round, &staged[to]));
                     let envelopes = staged[to].iter().map(|(src, msg)| (*src, **msg)).collect();
                     prop_assert_eq!(
@@ -878,14 +885,14 @@ mod tests {
         // third sender unicasts something else.
         let (k, msg, homonym, other) = (4, Arc::new(70_000u64), Arc::new(70_000u64), Arc::new(9));
         records.begin(k);
-        for to in Pid::all(k) {
+        for to in 0..k {
             records.stage(to, Id::new(1), frames.tok_for(&msg), &*msg);
             records.stage(to, Id::new(1), frames.tok_for(&homonym), &*homonym);
         }
-        records.stage(Pid::new(0), Id::new(2), frames.tok_for(&other), &*other);
+        records.stage(0, Id::new(2), frames.tok_for(&other), &*other);
         let frame_len = |m: &u64| crate::codec::encode_frame(m).len() - 1;
         assert_eq!(records.arena.len(), frame_len(&msg) + frame_len(&other));
-        let record = records.record(Round::new(2), Pid::new(k - 1)).to_vec();
+        let record = records.record(Round::new(2), k - 1).to_vec();
         assert_eq!(record, entry(2, &[(1, 70_000), (1, 70_000)]));
     }
 

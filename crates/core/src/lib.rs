@@ -76,7 +76,7 @@ pub use codec::{DecodeError, Reader, WireDecode, WireEncode, Writer};
 pub use config::{ByzPower, Counting, Synchrony, SystemConfig, SystemConfigBuilder};
 pub use error::{AssignmentError, ConfigError};
 pub use exec::{Executor, Pool, Sequential};
-pub use fabric::{Deliveries, DeliverySlots, FrameInterner, SharedEnvelope};
+pub use fabric::{Deliveries, FrameInterner, SharedEnvelope};
 pub use id::{Id, IdAssignment, Pid};
 pub use intern::{IdBits, Interner};
 pub use journal::{FileWal, Journal, JournalEntry, JournalError, MemJournal, Recovered};

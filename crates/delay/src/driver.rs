@@ -429,7 +429,7 @@ impl<P: Protocol> DelayCluster<P> {
                         if to == pid {
                             // Self-delivery costs no network trip.
                             if journals.is_some() {
-                                records.stage(to, src_id, tok, &*msg);
+                                records.stage(to.index(), src_id, tok, &*msg);
                             }
                             deliveries
                                 .push(to, SharedEnvelope::framed(src_id, Arc::clone(&msg), tok));
@@ -515,7 +515,7 @@ impl<P: Protocol> DelayCluster<P> {
                 } else if flight.round == round {
                     delivered_on_time += 1;
                     if journals.is_some() && procs.contains_key(&flight.to) {
-                        records.stage(flight.to, flight.src, flight.tok, &*flight.msg);
+                        records.stage(flight.to.index(), flight.src, flight.tok, &*flight.msg);
                     }
                     deliveries.push(
                         flight.to,
@@ -535,7 +535,7 @@ impl<P: Protocol> DelayCluster<P> {
                 for (&pid, journal) in j.iter_mut() {
                     if procs.contains_key(&pid) {
                         journal
-                            .append(records.record(round, pid))
+                            .append(records.record(round, pid.index()))
                             .expect("journal append");
                         journal.sync().expect("journal sync");
                     }

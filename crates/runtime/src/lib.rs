@@ -18,10 +18,10 @@
 //! (the original single-shot parity target), and [`ShardedCluster`] drives
 //! the sharded multi-shot schedule of
 //! [`homonym_sim::shards::ShardedSimulation`] — K instances interleaved
-//! per tick over one shared delivery plane, shards restarting on their
-//! queued shots — with thread-per-process actors that are *restarted* in
-//! place between shots (the `shard_runtime_parity` integration tests pin
-//! the cross-engine equivalence).
+//! per tick, each routed as casts into delivery classes, shards
+//! restarting on their queued shots — with thread-per-process actors that
+//! are *restarted* in place between shots (the `shard_runtime_parity`
+//! integration tests pin the cross-engine equivalence).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -38,13 +38,13 @@ use homonym_core::journal::{self, DeliveryRecords, Journal, MemJournal};
 use homonym_core::spec::{self, Outcome};
 use homonym_core::RecoveryMode;
 use homonym_core::{
-    ByzPower, Counting, Deliveries, DeliverySlots, FrameInterner, Id, IdAssignment, Inbox, Pid,
-    Protocol, ProtocolFactory, Recipients, Round, SharedEnvelope, SystemConfig,
+    ByzPower, Deliveries, FrameInterner, Id, IdAssignment, Inbox, Pid, Protocol, ProtocolFactory,
+    Recipients, Round, SharedEnvelope, SystemConfig,
 };
 use homonym_sim::adversary::{AdvCtx, Adversary, Silent};
-use homonym_sim::par::{self, SendScratch};
+use homonym_sim::par::{self, Cast, DeliveryPlan, SendScratch};
 use homonym_sim::shards::{
-    wire_bits, ChurnOp, ChurnPlan, ShardCore, ShardId, ShardReport, ShardSpec, ShardWire,
+    wire_bits, ChurnOp, ChurnPlan, ShardCore, ShardId, ShardReport, ShardSpec,
 };
 use homonym_sim::{DropPolicy, NoDrops, RunReport};
 
@@ -401,7 +401,7 @@ where
                     continue;
                 }
                 if journals.is_some() && to_actors.contains_key(&to) {
-                    records.stage(to, src_id, tok, &*msg);
+                    records.stage(to.index(), src_id, tok, &*msg);
                 }
                 deliveries.push(to, SharedEnvelope::framed(src_id, msg, tok));
             }
@@ -411,7 +411,7 @@ where
                         continue; // not executing this round
                     }
                     journal
-                        .append(records.record(round, pid))
+                        .append(records.record(round, pid.index()))
                         .and_then(|()| journal.sync())
                         .expect("journal append failed");
                 }
@@ -500,7 +500,9 @@ enum ToShardActor<P: Protocol> {
     /// Replace the actor's automaton (a new shot starts).
     Restart(P),
     Collect(Round),
-    Deliver(Round, Inbox<P::Msg>),
+    /// The round's inbox, shared with every actor of the same delivery
+    /// class.
+    Deliver(Round, Arc<Inbox<P::Msg>>),
     Stop,
 }
 
@@ -516,27 +518,26 @@ enum FromShardActor<M, V> {
 /// process of every shard on its own OS thread.
 ///
 /// Each global tick the coordinator collects one round of sends from all
-/// live shards' actors, routes everything through one shared
-/// [`Deliveries`] plane (shards at dense slot offsets, payload `Arc`s
-/// wrapped once per emission), and delivers back. When a shard's instance
-/// decides, the coordinator spawns fresh automata from the shard's
-/// factory and *restarts* the existing actor threads in place — no thread
-/// churn between shots. Per-shard reports use the same
+/// live shards' actors, routes each shard's casts into delivery classes
+/// (payload `Arc`s wrapped once per emission, one inbox built per
+/// class), and ships every actor an `Arc` of its class's inbox. When a
+/// shard's instance decides, the coordinator spawns fresh automata from
+/// the shard's factory and *restarts* the existing actor threads in
+/// place — no thread churn between shots. Per-shard reports use the same
 /// [`ShardReport`]/[`ShotReport`] types as the simulator, so parity is a
 /// field-for-field comparison.
 ///
 /// Like the sharded simulator, the cluster is generic over an
-/// [`Executor`]: the coordinator-side quadratic work of each tick —
-/// expanding the collected sends into wires, delivering the planned
-/// wires into the shared plane, draining per-slot inboxes — is fanned
-/// out as flattened **(shard, chunk)** units across worker threads (a
-/// big shard splits internally into contiguous pid chunks, each
-/// writing a disjoint [`DeliverySlots`] sub-range), while the actors
-/// keep parallelizing the protocol work itself. Between the scatters
-/// the coordinator runs each shard's inherently sequential middle
-/// (adversary, frame tokens, stateful drop planning) in shard order —
-/// the simulator's own `ShardCore::plan_tick` — so decisions,
-/// counters, and reports are identical at any worker count.
+/// [`Executor`]: the coordinator-side fan-out work of each tick —
+/// turning the collected sends into casts (the duplicate-recipient check
+/// and, when measured, the exact frame bits) and shipping the class
+/// inboxes to the actors — is scattered as flattened **(shard, chunk)**
+/// units across worker threads, while the actors keep parallelizing the
+/// protocol work itself. Between the scatters the coordinator runs each
+/// shard's inherently sequential middle (adversary, frame tokens,
+/// stateful drop planning, class inboxes) in shard order — the
+/// simulator's own `ShardCore::plan_tick` — so decisions, counters, and
+/// reports are identical at any worker count.
 ///
 /// # Example
 ///
@@ -636,19 +637,19 @@ struct ClusterShard<P: Protocol> {
     txs: BTreeMap<Pid, Sender<ToShardActor<P>>>,
     /// This tick's collected sends, keyed by correct pid (phase 1a).
     sends: BTreeMap<Pid, Vec<(Recipients, Arc<P::Msg>)>>,
-    /// This tick's wires (reused across ticks, local coords).
-    wires: Vec<ShardWire<P::Msg>>,
+    /// This tick's casts (reused across ticks, local coords).
+    casts: Vec<Cast<P::Msg>>,
     /// Per-chunk send scratch (phase 1b), reused across ticks.
     send_scratch: Vec<SendScratch<P::Msg>>,
-    /// This tick's per-wire delivery plan, reused across ticks.
-    route_plan: Vec<bool>,
+    /// This tick's routing plan: delivery classes and their inboxes.
+    plan: DeliveryPlan<P::Msg>,
     /// Restricted-clamp pair bitset, reused across ticks.
     byz_sent: IdBits,
 }
 
 /// Borrow bundle for one shard's send phase (the threaded counterpart of
 /// the sharded simulator's — here the emissions were already collected
-/// from the actors, so the chunks only expand them into wires).
+/// from the actors, so the chunks only turn them into casts).
 struct SendCtx<'a, P: Protocol> {
     shard: ShardId,
     r: Round,
@@ -658,17 +659,12 @@ struct SendCtx<'a, P: Protocol> {
     ranges: Vec<std::ops::Range<usize>>,
 }
 
-/// Borrow bundle for one shard's deliver phase: the planned wire list,
-/// the shard's sub-split plane views, and per-chunk clones of the actor
-/// senders (cloned so each chunk task owns its handles).
+/// Borrow bundle for one shard's deliver phase: the routing plan and
+/// per-chunk clones of the actor senders (cloned so each chunk task owns
+/// its handles).
 struct RecvCtx<'a, P: Protocol> {
     r: Round,
-    offset: usize,
-    counting: Counting,
-    wires: &'a [ShardWire<P::Msg>],
-    plan: &'a [bool],
-    ranges: Vec<std::ops::Range<usize>>,
-    views: Vec<DeliverySlots<'a, P::Msg>>,
+    plan: &'a DeliveryPlan<P::Msg>,
     chunk_txs: Vec<Vec<(Pid, Sender<ToShardActor<P>>)>>,
 }
 
@@ -699,25 +695,23 @@ where
         let measure = move |m: &P::Msg| if measure_bits { wire_bits(m) } else { 0 };
         let mut churn = self.churn;
 
-        // Validate and lay the shards out on the shared plane. The shot
-        // bookkeeping is the simulator's own `ShardCore`, so validation,
-        // restarts and reports cannot drift between the engines.
-        let mut shards: Vec<ClusterShard<P>> = Vec::new();
-        let mut offset = 0usize;
-        for (spec, factory) in self.shards {
-            let n = spec.cfg.n;
-            shards.push(ClusterShard {
-                core: ShardCore::new(spec, factory, offset),
+        // Validate the shards. The shot bookkeeping is the simulator's
+        // own `ShardCore`, so validation, restarts and reports cannot
+        // drift between the engines.
+        let mut shards: Vec<ClusterShard<P>> = self
+            .shards
+            .into_iter()
+            .map(|(spec, factory)| ClusterShard {
+                core: ShardCore::new(spec, factory),
                 txs: BTreeMap::new(),
                 sends: BTreeMap::new(),
-                wires: Vec::new(),
+                casts: Vec::new(),
                 send_scratch: Vec::new(),
-                route_plan: Vec::new(),
+                plan: DeliveryPlan::new(),
                 byz_sent: IdBits::new(),
-            });
-            offset += n;
-        }
-        let total_slots = offset;
+            })
+            .collect();
+        let total_slots: usize = shards.iter().map(|s| s.core.cfg.n).sum();
 
         // One actor thread per (shard, process); automata arrive via
         // Restart messages, so Byzantine-only slots simply idle.
@@ -746,6 +740,10 @@ where
                             ToShardActor::Deliver(round, inbox) => {
                                 let p = proc_.as_mut().expect("actor restarted");
                                 p.receive(round, &inbox);
+                                // Released before the reply: once the
+                                // coordinator has heard from everyone, no
+                                // payload handle of the tick is left here.
+                                drop(inbox);
                                 from_tx
                                     .send(FromShardActor::Received(
                                         s,
@@ -779,18 +777,15 @@ where
             }
         }
 
-        // The coordinator loop: the same shared-fabric tick as the
+        // The coordinator loop: the same cast-and-class tick as the
         // sharded simulator. Phase 1a (collecting sends) and phase 3b
         // (recording decisions) stay on the coordinator because they
-        // drain the one reply channel; everything between — the
-        // quadratic wire-expansion, delivery, and inbox work — fans
-        // out as flattened (shard, chunk) units across the executor,
-        // each chunk writing a disjoint slot sub-range of the one
-        // plane, with the sequential middle (adversary, tokens, drop
-        // planning) on the coordinator in shard order.
+        // drain the one reply channel; turning the sends into casts and
+        // shipping the class inboxes fan out as flattened
+        // (shard, chunk) units across the executor, with the sequential
+        // middle (adversary, tokens, drop planning, class inboxes) on the
+        // coordinator in shard order.
         let mut tick = 0u64;
-        let mut plane: Deliveries<P::Msg> = Deliveries::new(total_slots);
-        let widths: Vec<usize> = shards.iter().map(|s| s.core.cfg.n).collect();
         while tick < max_ticks {
             // Phase 0 — apply due churn: cut aborted shots (reports
             // finalized as-is) and start enqueued / next shots, shipping
@@ -862,10 +857,10 @@ where
                 }
             }
 
-            // Phase 1b — expand the collected sends into wires, one
+            // Phase 1b — turn the collected sends into casts, one
             // flattened scatter of (shard, chunk) units (correct pids in
             // ascending order per chunk, chunks concatenating in pid
-            // order — the simulator's exact wire order).
+            // order — the simulator's exact cast order).
             {
                 let mut ctxs: Vec<SendCtx<'_, P>> = Vec::new();
                 for (s, shard) in shards.iter_mut().enumerate() {
@@ -909,7 +904,7 @@ where
                         scratch = rest;
                         let sc = &mut sc[0];
                         tasks.push(move || {
-                            par::expand_sends(chunk, r, assignment, measure, Some(sid), sc)
+                            par::cast_sends(chunk, r, assignment, measure, Some(sid), sc)
                         });
                     }
                 }
@@ -918,96 +913,70 @@ where
 
             // Coordinator pass, in shard order: merge chunk buffers
             // (chunk order = pid order), adversary emissions, frame
-            // tokens, route planning, counters — the simulator's own
-            // [`ShardCore::plan_tick`], so the engines cannot drift.
+            // tokens, route planning, counters, journal, class inboxes —
+            // the simulator's own [`ShardCore::plan_tick`], so the
+            // engines cannot drift.
             for (s, shard) in shards.iter_mut().enumerate() {
                 if !shard.core.active {
                     continue;
                 }
                 let ClusterShard {
                     core,
-                    wires,
+                    casts,
                     send_scratch,
+                    plan,
                     byz_sent,
-                    route_plan,
                     ..
                 } = shard;
-                wires.clear();
+                casts.clear();
                 let chunks = exec::chunk_ranges(core.live_len(), workers).len();
                 for scratch in send_scratch.iter_mut().take(chunks) {
-                    scratch.drain_into(wires);
+                    scratch.drain_into(casts);
                 }
                 core.plan_tick(
                     ShardId::new(s),
                     byz_sent,
-                    wires,
-                    route_plan,
+                    casts,
+                    plan,
                     measure_bits,
-                    |_, _| {},
+                    |_, _, _| {},
                 );
             }
 
-            // Phases 2–3a — deliver the planned wires into the plane and
-            // ship each correct process's inbox to its actor, one
+            // Phases 2–3a — ship each live process its class's inbox, one
             // flattened scatter of (shard, chunk) units; each chunk owns
-            // a disjoint sub-range of its shard's plane slots and clones
-            // of its pids' senders.
+            // clones of its pids' senders.
             {
-                let views = plane.split_slots(widths.iter().copied());
                 let mut ctxs: Vec<RecvCtx<'_, P>> = Vec::new();
-                for (shard, view) in shards.iter_mut().zip(views) {
+                for shard in shards.iter() {
                     if !shard.core.active {
                         continue;
                     }
-                    let ClusterShard {
-                        core,
-                        txs,
-                        wires,
-                        route_plan,
-                        ..
-                    } = shard;
-                    let ranges = exec::chunk_ranges(core.cfg.n, workers);
-                    let sub_views = view.split_widths(ranges.iter().map(|rg| rg.len()));
-                    let chunk_txs = ranges
-                        .iter()
+                    let core = &shard.core;
+                    let live: Vec<Pid> = core.live().collect();
+                    let chunk_txs = exec::chunk_ranges(live.len(), workers)
+                        .into_iter()
                         .map(|range| {
-                            core.live()
-                                .filter(|pid| range.contains(&pid.index()))
-                                .map(|pid| (pid, txs[&pid].clone()))
+                            live[range]
+                                .iter()
+                                .map(|&pid| (pid, shard.txs[&pid].clone()))
                                 .collect()
                         })
                         .collect();
                     ctxs.push(RecvCtx {
                         r: core.round,
-                        offset: core.offset,
-                        counting: core.cfg.counting,
-                        wires: wires.as_slice(),
-                        plan: route_plan.as_slice(),
-                        ranges,
-                        views: sub_views,
+                        plan: &shard.plan,
                         chunk_txs,
                     });
                 }
                 let mut tasks = Vec::new();
                 for ctx in ctxs.iter_mut() {
                     let r = ctx.r;
-                    let offset = ctx.offset;
-                    let counting = ctx.counting;
-                    let wires = ctx.wires;
                     let plan = ctx.plan;
-                    for ((range, mut view), chunk_txs) in ctx
-                        .ranges
-                        .iter()
-                        .cloned()
-                        .zip(ctx.views.drain(..))
-                        .zip(ctx.chunk_txs.drain(..))
-                    {
+                    for chunk_txs in ctx.chunk_txs.drain(..) {
                         tasks.push(move || {
-                            par::deliver_chunk(wires, plan, offset, range, &mut view);
                             for (pid, tx) in chunk_txs {
-                                let inbox =
-                                    view.take_inbox(Pid::new(offset + pid.index()), counting);
-                                tx.send(ToShardActor::Deliver(r, inbox))
+                                tx.send(ToShardActor::Deliver(r, Arc::clone(plan.inbox(pid))))
                                     .expect("actor alive");
                             }
                         });
@@ -1016,14 +985,11 @@ where
                 exec.scatter(tasks);
             }
 
-            // Phase 3a (Byzantine half) — drain the Byzantine slots to
-            // the adversaries, in shard order on the coordinator.
-            {
-                let mut slots = plane.as_slots();
-                for shard in shards.iter_mut() {
-                    if shard.core.active {
-                        shard.core.deliver_byz(&mut slots);
-                    }
+            // Phase 3a (Byzantine half) — the Byzantine inboxes to the
+            // adversaries, in shard order on the coordinator.
+            for shard in shards.iter_mut() {
+                if shard.core.active {
+                    shard.core.deliver_byz(&mut shard.plan);
                 }
             }
 

@@ -66,6 +66,17 @@ impl ByzTarget {
     }
 }
 
+/// A correct process's addressing is the identifier-bound subset of a
+/// Byzantine one's — the tick routes both as one target type.
+impl From<Recipients> for ByzTarget {
+    fn from(recipients: Recipients) -> Self {
+        match recipients {
+            Recipients::All => ByzTarget::All,
+            Recipients::Group(id) => ByzTarget::Group(id),
+        }
+    }
+}
+
 /// One Byzantine message: sent by `from` (authenticated with `from`'s
 /// identifier — forging is impossible in the model) to `to`.
 ///

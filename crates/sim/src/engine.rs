@@ -2,11 +2,12 @@
 //!
 //! The hot path rides the delivery fabric
 //! ([`homonym_core::fabric`]): each emission's payload is wrapped in an
-//! [`Arc`] exactly once, fan-out to recipients / the trace / the drop
-//! policy moves pointer clones, and per-round routing buffers are kept
-//! across rounds and `clear()`ed instead of reallocated. Payload `clone()`
-//! count per round is O(emissions), not O(n²) deliveries (pinned by the
-//! `fabric_clone_count` tests).
+//! [`Arc`] exactly once and routed as one *cast*; recipients the same
+//! casts reached share one inbox (`crate::par`), the trace moves pointer
+//! clones, and per-round routing buffers are kept across rounds and
+//! `clear()`ed instead of reallocated. Payload `clone()` count per round
+//! is zero and handles per payload do not grow with n (pinned by the
+//! `clone_counting` and `delivery_classes` tests below).
 //!
 //! The engine is generic over an [`Executor`]: under the default
 //! [`Sequential`] a round runs exactly the historical single-threaded
@@ -24,14 +25,13 @@ use homonym_core::intern::{IdBits, Tok};
 use homonym_core::journal::{self, DeliveryRecords, Journal, MemJournal};
 use homonym_core::spec::{self, Outcome, Verdict};
 use homonym_core::{
-    Deliveries, FrameInterner, Id, IdAssignment, Inbox, Pid, Protocol, ProtocolFactory,
-    RecoveryMode, Round, SystemConfig, WireDecode, WireEncode,
+    FrameInterner, Id, IdAssignment, Pid, Protocol, ProtocolFactory, RecoveryMode, Round,
+    SystemConfig, WireDecode, WireEncode,
 };
 
 use crate::adversary::{AdvCtx, Adversary, Silent};
 use crate::drops::{DropPolicy, NoDrops};
-use crate::par::{self, SendScratch};
-use crate::shards::ShardWire;
+use crate::par::{self, Cast, DeliveryPlan, SendScratch};
 use crate::topology::Topology;
 use crate::trace::{Delivery, Trace};
 
@@ -111,10 +111,11 @@ pub struct RunReport<V> {
 /// [`DeliveryRecords::stage`] monomorphized by
 /// [`SimulationBuilder::durable`], which is where the `Msg: WireEncode`
 /// bound is checked (the hot `step` path itself carries no codec bounds).
-type StageFrame<M> = fn(&mut DeliveryRecords, Pid, Id, Tok, &M);
+type StageFrame<M> = fn(&mut DeliveryRecords, usize, Id, Tok, &M);
 
 /// Per-process durability state: one journal per correct process, a
-/// snapshot cadence, and the round's record builder with its codec hook.
+/// snapshot cadence, and the round's record builder (one record per
+/// delivery class) with its codec hook.
 struct Durability<P: Protocol> {
     journals: BTreeMap<Pid, Box<dyn Journal + Send>>,
     snapshot_every: u64,
@@ -266,7 +267,6 @@ impl<P: Protocol, E: Executor> SimulationBuilder<P, E> {
             records: DeliveryRecords::new(),
             stage,
         });
-        let n = self.cfg.n;
         Simulation {
             cfg: self.cfg,
             assignment: self.assignment,
@@ -289,12 +289,11 @@ impl<P: Protocol, E: Executor> SimulationBuilder<P, E> {
             state_bits: 0,
             peak_state_bits: 0,
             per_round_sent: Vec::new(),
-            wires: Vec::new(),
-            deliveries: Deliveries::new(n),
+            casts: Vec::new(),
+            plan: DeliveryPlan::new(),
             frames: FrameInterner::new(),
             exec: self.exec,
             send_scratch: Vec::new(),
-            route_plan: Vec::new(),
             byz_sent: IdBits::new(),
             recv_out: Vec::new(),
         }
@@ -353,20 +352,21 @@ pub struct Simulation<P: Protocol, E: Executor = Sequential> {
     peak_state_bits: u64,
     per_round_sent: Vec<u64>,
     // Per-round fabric buffers, reused across rounds (`clear()`, never
-    // realloc): the wire list and the dense per-recipient buckets.
-    wires: Vec<ShardWire<P::Msg>>,
-    deliveries: Deliveries<P::Msg>,
+    // realloc): the cast list and the routing plan (per-cast recipient
+    // rows, delivery classes, one shared inbox per class).
+    casts: Vec<Cast<P::Msg>>,
+    plan: DeliveryPlan<P::Msg>,
     /// One token per distinct emitted payload, persistent for the run —
-    /// the token-framed dedup seam of [`Inbox::collect_shared`].
+    /// the token-framed dedup seam of
+    /// [`Inbox::collect_shared`](homonym_core::Inbox::collect_shared).
     frames: FrameInterner<P::Msg>,
     /// The executor the round phases scatter on ([`Sequential`] unless
     /// the builder installed a pool).
     exec: E,
     // Parallel-tick scratch, reused across rounds: per-chunk send
-    // buffers, the per-wire route plan, the adversary's restricted-clamp
-    // bitset, and the per-chunk receive results.
+    // buffers, the adversary's restricted-clamp bitset, and the
+    // per-chunk receive results.
     send_scratch: Vec<SendScratch<P::Msg>>,
-    route_plan: Vec<bool>,
     byz_sent: IdBits,
     recv_out: Vec<Vec<(Pid, Option<P::Value>, u64)>>,
 }
@@ -680,16 +680,19 @@ impl<P: Protocol, E: Executor> Simulation<P, E> {
     /// Executes one round: correct sends, adversary sends, topology /
     /// restriction / drops, delivery, decision recording.
     ///
-    /// Each emitted payload is wrapped in an [`Arc`] exactly once; every
-    /// recipient, the trace, and the inboxes share that handle. The wire
-    /// list and delivery buckets persist across rounds, so a steady-state
-    /// round allocates nothing but the payload wraps themselves.
+    /// Each emitted payload is wrapped in an [`Arc`] exactly once and kept
+    /// as one *cast*, however many processes it addresses; recipients the
+    /// same casts reached form one delivery class and share one inbox
+    /// (and, when durable, one journal record's bytes). The cast list
+    /// and the routing plan persist across rounds, so a fault-free
+    /// broadcast round does O(emissions) fabric work plus the O(n²)
+    /// route walk the drop policy's query order demands.
     ///
-    /// Under a pool executor the send phase fans out over contiguous pid
-    /// chunks (buffers concatenated in chunk order) and the receive phase
-    /// over contiguous recipient ranges of the delivery plane; the
-    /// adversary, the frame interner, and the stateful drop policy run on
-    /// the calling thread in sequential order. See `crate::par`.
+    /// Under a pool executor the send and receive phases fan out over
+    /// contiguous pid chunks (buffers concatenated, results merged, in
+    /// chunk order); the adversary, the frame interner, the stateful drop
+    /// policy, and the class inboxes run on the calling thread in
+    /// sequential order. See `crate::par`.
     ///
     /// # Panics
     ///
@@ -704,11 +707,11 @@ impl<P: Protocol, E: Executor> Simulation<P, E> {
     {
         let r = self.round;
         let workers = self.exec.workers();
-        self.wires.clear();
+        self.casts.clear();
 
         // 1. Correct processes send; enforce one message per recipient.
-        //    Contiguous pid chunks fill per-chunk wire buffers, appended
-        //    in chunk order — the same wire list the sequential pid-order
+        //    Contiguous pid chunks fill per-chunk cast buffers, appended
+        //    in chunk order — the same cast list the sequential pid-order
         //    sweep builds.
         {
             let mut procs: Vec<(Pid, &mut P)> =
@@ -732,13 +735,13 @@ impl<P: Protocol, E: Executor> Simulation<P, E> {
             }
             self.exec.scatter(tasks);
             for scratch in self.send_scratch.iter_mut().take(ranges.len()) {
-                self.wires.append(&mut scratch.wires);
+                scratch.drain_into(&mut self.casts);
             }
         }
 
         // 2. Adversary sends (one stateful strategy object — calling
         //    thread); clamp to one per recipient if restricted. Then
-        //    stamp every wire's frame token from the run's one interner,
+        //    stamp every cast's frame token from the run's one interner,
         //    in sequential first-seen order.
         let ctx = AdvCtx {
             round: r,
@@ -747,7 +750,7 @@ impl<P: Protocol, E: Executor> Simulation<P, E> {
             byz: &self.byz,
         };
         let emissions = self.adversary.send(&ctx);
-        par::adversary_wires(
+        par::adversary_casts(
             emissions,
             &self.byz,
             &self.assignment,
@@ -755,31 +758,32 @@ impl<P: Protocol, E: Executor> Simulation<P, E> {
             &mut self.byz_sent,
             |_| 0,
             None,
-            &mut self.wires,
+            &mut self.casts,
         );
-        par::stamp_toks(&mut self.frames, &mut self.wires);
+        par::stamp_toks(&mut self.frames, &mut self.casts);
 
-        // 3. Topology and drops, planned in exact wire order on the
-        //    calling thread (the drop policy is stateful: query order is
-        //    observable); the delivery itself happens in the chunked
-        //    phase 4, reading the plan concurrently.
+        // 3. Topology and drops, planned in exact (cast, recipient) order
+        //    on the calling thread (the drop policy is stateful: query
+        //    order is observable), then one inbox per delivery class with
+        //    someone to read it.
         let trace = &mut self.trace;
         let down = (!self.crashed.is_empty()).then_some(&self.crashed);
         let tallies = par::plan_routes(
-            &self.wires,
+            &self.casts,
             r,
+            &self.assignment,
             &self.topology,
             down,
             self.drops.as_mut(),
-            &mut self.route_plan,
-            |wire, dropped| {
+            &mut self.plan,
+            |cast, to, dropped| {
                 if let Some(trace) = trace.as_mut() {
                     trace.record(Delivery {
                         round: r,
-                        from: wire.from,
-                        src_id: wire.src,
-                        to: wire.to,
-                        msg: Arc::clone(&wire.msg),
+                        from: cast.from,
+                        src_id: cast.src,
+                        to,
+                        msg: Arc::clone(&cast.msg),
                         dropped,
                     });
                 }
@@ -788,47 +792,38 @@ impl<P: Protocol, E: Executor> Simulation<P, E> {
         self.messages_sent += tallies.sent;
         self.messages_delivered += tallies.delivered;
         self.messages_dropped += tallies.dropped;
+        let crashed = &self.crashed;
+        self.plan
+            .build_inboxes(&self.casts, self.cfg.counting, |pid| {
+                !crashed.contains(&pid)
+            });
 
         // 4. Deliver to correct processes; record decisions. Each chunk
-        //    owns a disjoint recipient range of the plane: it delivers
-        //    the planned wires landing there, then drains its inboxes and
-        //    runs `receive` — results merged and recorded in pid order.
-        let ranges = exec::chunk_ranges(self.cfg.n, workers);
+        //    runs `receive` for its processes against their class's
+        //    shared inbox — results merged and recorded in pid order.
         {
+            let mut procs: Vec<(Pid, &mut P)> =
+                self.procs.iter_mut().map(|(&pid, p)| (pid, p)).collect();
+            let ranges = exec::chunk_ranges(procs.len(), workers);
             if self.recv_out.len() < ranges.len() {
                 self.recv_out.resize_with(ranges.len(), Vec::new);
             }
-            let mut procs: Vec<(Pid, &mut P)> =
-                self.procs.iter_mut().map(|(&pid, p)| (pid, p)).collect();
-            let views = self
-                .deliveries
-                .as_slots()
-                .split_widths(ranges.iter().map(|rg| rg.len()));
-            let counting = self.cfg.counting;
-            let wires = &self.wires;
-            let plan = &self.route_plan;
+            let plan = &self.plan;
             let mut proc_slice = procs.as_mut_slice();
             let mut out_slice = self.recv_out.as_mut_slice();
             let mut tasks = Vec::with_capacity(ranges.len());
-            for (range, mut view) in ranges.iter().cloned().zip(views) {
-                let split = proc_slice
-                    .iter()
-                    .take_while(|(pid, _)| pid.index() < range.end)
-                    .count();
-                let (chunk, rest) = std::mem::take(&mut proc_slice).split_at_mut(split);
+            for range in &ranges {
+                let (chunk, rest) = std::mem::take(&mut proc_slice).split_at_mut(range.len());
                 proc_slice = rest;
                 let (out, rest) = std::mem::take(&mut out_slice).split_at_mut(1);
                 out_slice = rest;
                 let out = &mut out[0];
-                tasks.push(move || {
-                    par::deliver_chunk(wires, plan, 0, range, &mut view);
-                    par::receive_chunk(chunk, r, 0, counting, &mut view, out);
-                });
+                tasks.push(move || par::receive_chunk(chunk, r, plan, out));
             }
             self.exec.scatter(tasks);
         }
         let mut total_bits = 0u64;
-        for out in self.recv_out.iter_mut().take(ranges.len()) {
+        for out in self.recv_out.iter_mut() {
             for (pid, decision, bits) in out.drain(..) {
                 total_bits += bits;
                 if self.amnesiac.contains(&pid) {
@@ -865,20 +860,20 @@ impl<P: Protocol, E: Executor> Simulation<P, E> {
         // entry per live process per round — `send` mutates state, so
         // recovery replay must re-run even empty-inbox rounds.
         if let Some(dur) = &mut self.durability {
-            dur.records.begin(self.cfg.n);
-            for (wire, &ok) in self.wires.iter().zip(&self.route_plan) {
-                if ok {
-                    (dur.stage)(&mut dur.records, wire.to, wire.src, wire.tok, &wire.msg);
-                }
-            }
+            let procs = &self.procs;
+            self.plan.journal(
+                &self.casts,
+                r,
+                &mut dur.records,
+                dur.stage,
+                &mut dur.journals,
+                |pid| procs.contains_key(&pid), // else crashed or turned: journal idles
+            );
             let boundary = dur.snapshot_every > 0 && (r.index() + 1) % dur.snapshot_every == 0;
             for (&pid, journal) in dur.journals.iter_mut() {
                 let Some(proc_) = self.procs.get(&pid) else {
-                    continue; // crashed or turned: journal idles
+                    continue;
                 };
-                journal
-                    .append(dur.records.record(r, pid))
-                    .expect("journal append failed");
                 if boundary {
                     if let Some(bytes) = proc_.snapshot() {
                         journal
@@ -891,11 +886,7 @@ impl<P: Protocol, E: Executor> Simulation<P, E> {
         }
 
         // 5. Tell the adversary what its processes received.
-        let byz_inboxes: BTreeMap<Pid, Inbox<P::Msg>> = self
-            .byz
-            .iter()
-            .map(|&pid| (pid, self.deliveries.take_inbox(pid, self.cfg.counting)))
-            .collect();
+        let byz_inboxes = self.plan.take_byz_inboxes(&self.byz);
         self.adversary.receive(r, &byz_inboxes);
 
         self.round = r.next();
@@ -955,8 +946,7 @@ impl<P: Protocol, E: Executor> Simulation<P, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use homonym_core::{ByzPower, Id};
-    use homonym_core::{FnFactory, Recipients};
+    use homonym_core::{ByzPower, FnFactory, Inbox, Recipients};
 
     /// A toy protocol: broadcast the input every round; decide on the
     /// smallest value heard from at least `quorum` distinct identifiers
@@ -1215,6 +1205,203 @@ mod tests {
                  ({deliveries} deliveries)"
             );
             assert_eq!(clones, 0, "the fabric engine clones no payloads at all");
+        }
+    }
+
+    /// The cast path's sharing, observed from inside `receive`: processes
+    /// that the same casts reached are handed the *same* inbox, and
+    /// nothing else merges or splits a class.
+    mod delivery_classes {
+        use super::*;
+        use crate::adversary::{ByzTarget, Emission, Scripted};
+        use crate::drops::ScriptedDrops;
+        use homonym_core::journal::encode_deliveries_entry;
+
+        /// Sends its input to a fixed target every round and keeps what
+        /// `receive` could see: the address and content (copied out, so
+        /// the probe itself holds no payload handle) of the inbox it was
+        /// handed, and how many handles its own payload had.
+        #[derive(Clone, Debug)]
+        struct Probe {
+            id: Id,
+            input: u32,
+            to: Recipients,
+            sent: Option<Arc<u32>>,
+            inbox_addr: usize,
+            heard: Vec<(Id, u32)>,
+            handles: usize,
+        }
+
+        impl Protocol for Probe {
+            type Msg = u32;
+            type Value = u32;
+
+            fn id(&self) -> Id {
+                self.id
+            }
+
+            fn send(&mut self, _round: Round) -> Vec<(Recipients, u32)> {
+                unreachable!("the engines call send_shared")
+            }
+
+            fn send_shared(&mut self, _round: Round) -> Vec<(Recipients, Arc<u32>)> {
+                let msg = Arc::new(self.input);
+                self.sent = Some(Arc::clone(&msg));
+                vec![(self.to, msg)]
+            }
+
+            fn receive(&mut self, _round: Round, inbox: &Inbox<u32>) {
+                self.inbox_addr = inbox as *const Inbox<u32> as usize;
+                self.handles = self.sent.as_ref().map_or(0, Arc::strong_count);
+                self.heard = inbox.iter().map(|(id, &msg, _)| (id, msg)).collect();
+            }
+
+            fn decision(&self) -> Option<u32> {
+                None
+            }
+        }
+
+        /// Process `k` proposes `k`, so a payload names its sender.
+        fn probes(cfg: SystemConfig, assignment: IdAssignment) -> SimulationBuilder<Probe> {
+            Simulation::builder(cfg, assignment, (0..cfg.n as u32).collect())
+        }
+
+        fn factory(to: impl Fn(Id) -> Recipients + 'static) -> impl ProtocolFactory<P = Probe> {
+            FnFactory::new(move |id, input| Probe {
+                id,
+                input,
+                to: to(id),
+                sent: None,
+                inbox_addr: 0,
+                heard: Vec::new(),
+                handles: 0,
+            })
+        }
+
+        /// The live processes grouped by the inbox address they saw.
+        fn classes<E: Executor>(sim: &Simulation<Probe, E>) -> Vec<Vec<usize>> {
+            let mut by_addr: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            for (pid, p) in sim.processes() {
+                by_addr.entry(p.inbox_addr).or_default().push(pid.index());
+            }
+            let mut classes: Vec<Vec<usize>> = by_addr.into_values().collect();
+            classes.sort();
+            classes
+        }
+
+        #[test]
+        fn fault_free_broadcast_is_one_class_sharing_one_inbox() {
+            let n = 64;
+            let mut sim = probes(cfg(n, n, 0), IdAssignment::unique(n))
+                .build_with(&factory(|_| Recipients::All));
+            sim.step();
+            assert_eq!(classes(&sim), vec![(0..n).collect::<Vec<_>>()]);
+            for (pid, p) in sim.processes() {
+                assert_eq!(p.heard.len(), n, "{pid} hears everyone");
+                // The sender's own handle, the cast, the frame interner's
+                // table and index, the class inbox — not one per recipient.
+                assert_eq!(p.handles, 5, "{pid}: handles on an emitted payload");
+            }
+        }
+
+        #[test]
+        fn a_lost_message_splits_off_its_recipient_only() {
+            let n = 6;
+            // One direction of one link: only the recipient can tell.
+            let mut sim = probes(cfg(n, n, 0), IdAssignment::unique(n))
+                .drops(ScriptedDrops::new([(
+                    Round::ZERO,
+                    Pid::new(0),
+                    Pid::new(1),
+                )]))
+                .build_with(&factory(|_| Recipients::All));
+            sim.step();
+            assert_eq!(classes(&sim), vec![vec![0, 2, 3, 4, 5], vec![1]]);
+            // A cut link loses both directions: each end misses the other.
+            let edges = Pid::all(n)
+                .flat_map(|a| Pid::all(n).map(move |b| (a, b)))
+                .filter(|&(a, b)| a < b && (a.index(), b.index()) != (0, 1));
+            let mut sim = probes(cfg(n, n, 0), IdAssignment::unique(n))
+                .topology(Topology::with_edges(n, edges))
+                .build_with(&factory(|_| Recipients::All));
+            sim.step();
+            assert_eq!(classes(&sim), vec![vec![0], vec![1], vec![2, 3, 4, 5]]);
+            let heard = |k: usize| &sim.procs[&Pid::new(k)].heard;
+            assert!(!heard(0).contains(&(Id::new(2), 1)));
+            assert!(!heard(1).contains(&(Id::new(1), 0)));
+            assert_eq!(heard(2).len(), n);
+        }
+
+        #[test]
+        fn a_byzantine_unicast_puts_its_target_alone() {
+            let n = 5;
+            let unicast = Scripted::new([(
+                Round::ZERO,
+                Emission::new(Pid::new(4), ByzTarget::One(Pid::new(2)), 99u32),
+            )]);
+            let mut sim = probes(cfg(n, n, 1), IdAssignment::unique(n))
+                .byzantine([Pid::new(4)], unicast)
+                .build_with(&factory(|_| Recipients::All));
+            sim.step();
+            assert_eq!(classes(&sim), vec![vec![0, 1, 3], vec![2]]);
+            assert!(sim.procs[&Pid::new(2)].heard.contains(&(Id::new(5), 99)));
+            assert!(!sim.procs[&Pid::new(0)].heard.contains(&(Id::new(5), 99)));
+        }
+
+        #[test]
+        fn group_casts_split_classes_along_the_groups() {
+            // G(1) = {0, 1}, G(2) = {2, 3}, G(3) = {4}; everyone addresses
+            // its own group.
+            let ids = [1, 1, 2, 2, 3].map(Id::new).to_vec();
+            let assignment = IdAssignment::new(3, ids).unwrap();
+            let mut sim = probes(cfg(5, 3, 0), assignment).build_with(&factory(Recipients::Group));
+            sim.step();
+            assert_eq!(classes(&sim), vec![vec![0, 1], vec![2, 3], vec![4]]);
+            assert_eq!(
+                sim.procs[&Pid::new(3)].heard,
+                [(Id::new(2), 2), (Id::new(2), 3)]
+            );
+        }
+
+        #[test]
+        fn a_crashed_process_gets_no_record_and_its_class_mates_keep_theirs() {
+            // Everyone addresses G(1) = {0, 1}, so {2, 3} hear nothing and
+            // form one class — whether or not 3 is down.
+            let ids = [1, 1, 2, 2].map(Id::new).to_vec();
+            let run = |crash: bool| {
+                let assignment = IdAssignment::new(2, ids.clone()).unwrap();
+                let to_g1 = |_| Recipients::Group(Id::new(1));
+                let mut sim = probes(cfg(4, 2, 0), assignment)
+                    .durable(0)
+                    .build_with(&factory(to_g1));
+                if crash {
+                    sim.crash(Pid::new(3)).unwrap();
+                }
+                sim.step();
+                let records: Vec<Vec<Vec<u8>>> = Pid::all(4)
+                    .map(|pid| sim.journal(pid).unwrap().recover().records)
+                    .collect();
+                (classes(&sim), records)
+            };
+            let (whole_classes, whole) = run(false);
+            let (classes, crashed) = run(true);
+            assert_eq!(whole_classes, vec![vec![0, 1], vec![2, 3]]);
+            assert_eq!(classes, vec![vec![0, 1], vec![2]]);
+            assert!(crashed[3].is_empty(), "down: nothing to replay");
+            assert_eq!(crashed[2], whole[2], "its class-mate's record is unchanged");
+            assert_eq!(
+                crashed[2],
+                vec![encode_deliveries_entry::<u32>(Round::ZERO, &[])]
+            );
+            // {0, 1} share one record: everyone still up, in cast order.
+            let heard: Vec<(Id, Arc<u32>)> = [(1, 0), (1, 1), (2, 2)]
+                .map(|(id, msg)| (Id::new(id), Arc::new(msg)))
+                .to_vec();
+            assert_eq!(
+                crashed[0],
+                vec![encode_deliveries_entry(Round::ZERO, &heard)]
+            );
+            assert_eq!(crashed[1], crashed[0]);
         }
     }
 

@@ -20,7 +20,7 @@
 //! * [`Trace`] — per-delivery records supporting the replay adversaries
 //!   used by the Figure 4 partition construction.
 //! * [`shards`] — the sharded multi-shot scheduler: K independent
-//!   agreement instances interleaved over one shared delivery plane,
+//!   agreement instances interleaved tick by tick under one scheduler,
 //!   with pipelining and per-shard cost roll-ups.
 //! * [`harness`] — run-and-check: executes a protocol against a whole
 //!   scenario grid and compares the empirical verdicts with the Table 1

@@ -4,11 +4,10 @@
 //! A production workload runs *many* independent instances at once, so
 //! [`ShardedSimulation`] drives K instances — each with its own
 //! [`SystemConfig`], identifier assignment, Byzantine set, drop policy and
-//! topology — through **one** shared [`Deliveries`] plane. Every shard
-//! claims a contiguous range of slots in the plane
-//! ([`Deliveries::ensure_n`] widens it as shards are enqueued), rounds are
-//! interleaved across shards each global *tick*, and the fabric's headline
-//! guarantee is preserved: each emitted payload is wrapped in an
+//! topology — through one scheduler. Rounds are interleaved across shards
+//! each global *tick*, every shard routes its own cast list into its own
+//! delivery classes (`crate::par`), and the fabric's headline guarantee
+//! is preserved: each emitted payload is wrapped in an
 //! [`Arc`](std::sync::Arc) exactly once, whatever the shard count (pinned
 //! by the counting-`Clone` test in this module).
 //!
@@ -29,12 +28,12 @@
 //! property-tests this; `tests/shard_runtime_parity.rs` pins the threaded
 //! backend to the same schedule).
 //!
-//! Ticks run on an [`Executor`]: shards own disjoint slot ranges of the
-//! plane, so each global tick can fan the live shards out across worker
-//! threads ([`Pool`](homonym_core::exec::Pool)) with no locking — and
-//! because per-shard work is merged back in shard order, the executor's
-//! schedule is unobservable too (byte-identical traces, decisions, and
-//! reports at any worker count).
+//! Ticks run on an [`Executor`]: shards share no per-tick state, so each
+//! global tick can fan the live shards out across worker threads
+//! ([`Pool`](homonym_core::exec::Pool)) with no locking — and because
+//! per-shard work is merged back in shard order, the executor's schedule
+//! is unobservable too (byte-identical traces, decisions, and reports at
+//! any worker count).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -43,18 +42,17 @@ use std::sync::Arc;
 
 use homonym_core::codec::{self, WireDecode, WireEncode};
 use homonym_core::exec::{self, Executor, Sequential};
-use homonym_core::intern::{IdBits, Tok};
+use homonym_core::intern::IdBits;
 use homonym_core::journal::{self, DeliveryRecords, Journal, MemJournal};
 use homonym_core::spec::{self, Outcome};
 use homonym_core::{
-    Counting, Deliveries, DeliverySlots, FrameInterner, Id, IdAssignment, Inbox, Pid, Protocol,
-    ProtocolFactory, RecoveryMode, Round, SystemConfig,
+    FrameInterner, IdAssignment, Pid, Protocol, ProtocolFactory, RecoveryMode, Round, SystemConfig,
 };
 
 use crate::adversary::{AdvCtx, Adversary, Silent};
 use crate::drops::{DropPolicy, NoDrops};
 use crate::engine::{ChurnError, RunReport};
-use crate::par::{self, SendScratch};
+use crate::par::{self, Cast, DeliveryPlan, SendScratch};
 use crate::topology::Topology;
 use crate::trace::{Delivery, Trace};
 
@@ -316,27 +314,6 @@ pub fn wire_bits<M: WireEncode>(msg: &M) -> u64 {
     codec::frame_bits(msg)
 }
 
-/// One routed sharded message, in shard-local coordinates, carrying the
-/// shared payload handle. Wires never leave their owning shard, so the
-/// shard index lives with the buffer, not on every wire.
-///
-/// Engines keep a reusable `Vec<ShardWire>` per shard as tick scratch
-/// and fill/route it exclusively through the `crate::par` helpers (or
-/// the [`ShardCore::build_wires`]/[`ShardCore::route_wires`] pair) — the
-/// internals are crate-private so the addressing and routing rules
-/// cannot be bypassed from outside.
-pub struct ShardWire<M> {
-    pub(crate) from: Pid,
-    pub(crate) src: Id,
-    pub(crate) to: Pid,
-    pub(crate) msg: Arc<M>,
-    pub(crate) bits: u64,
-    /// The payload's frame token under the owning shard's
-    /// [`FrameInterner`] — carried onto every delivered envelope so inbox
-    /// dedup groups homonym duplicates by token instead of deep walks.
-    pub(crate) tok: Tok,
-}
-
 /// The engine-agnostic bookkeeping of one shard: its configuration, its
 /// shot queue, the live shot's fault environment and counters, and the
 /// per-shot report roll-up.
@@ -362,8 +339,6 @@ pub struct ShardCore<P: Protocol> {
     pub factory: Box<dyn ProtocolFactory<P = P> + Send>,
     /// The shots still queued.
     pub shots: VecDeque<ShotSpec<P>>,
-    /// First slot of this shard's contiguous range in the shared plane.
-    pub offset: usize,
     /// The current shot's position in the queue (0-based).
     pub shot: usize,
     /// The correct processes of the current shot, ascending. Amnesiac
@@ -379,7 +354,7 @@ pub struct ShardCore<P: Protocol> {
     pub byz: BTreeSet<Pid>,
     /// The currently crashed processes of the current shot (their
     /// automata are removed by the engine; the core force-drops their
-    /// wires and suspends their journals).
+    /// messages and suspends their journals).
     pub crashed: BTreeSet<Pid>,
     /// The processes that rejoined amnesiac this shot — they share the
     /// `t` fault budget with the Byzantine set and leave the shot's
@@ -389,8 +364,8 @@ pub struct ShardCore<P: Protocol> {
     pub durable: bool,
     /// Per-process journals (populated per shot when `durable`).
     journals: BTreeMap<Pid, Box<dyn Journal + Send>>,
-    /// The journaling pass's record builder (reused; empty until the
-    /// first durable round).
+    /// The journaling pass's record builder, one record per delivery
+    /// class (reused; empty until the first durable round).
     records: DeliveryRecords,
     /// The strategy controlling the Byzantine processes.
     pub adversary: Box<dyn Adversary<P::Msg> + Send>,
@@ -421,24 +396,21 @@ pub struct ShardCore<P: Protocol> {
     pub active: bool,
     /// Reports of the completed shots, in queue order.
     pub done: Vec<ShotReport<P::Value>>,
-    /// The shard's frame interner: one token per distinct emitted
-    /// payload, persistent across rounds and shots (tokens are only
-    /// compared within one shard's delivery slots).
+    /// The live shot's frame interner: one token per distinct emitted
+    /// payload. Tokens are only compared within one round's casts and
+    /// journal records, so every shot starts a fresh interner and a
+    /// finished shot's payloads are released with it.
     pub frames: FrameInterner<P::Msg>,
 }
 
 impl<P: Protocol> ShardCore<P> {
-    /// Lays a shard out at `offset` slots into the shared plane.
+    /// An idle shard over `spec`'s shot queue.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid or the assignment
     /// disagrees with it.
-    pub fn new(
-        spec: ShardSpec<P>,
-        factory: Box<dyn ProtocolFactory<P = P> + Send>,
-        offset: usize,
-    ) -> Self {
+    pub fn new(spec: ShardSpec<P>, factory: Box<dyn ProtocolFactory<P = P> + Send>) -> Self {
         spec.cfg.validate().expect("invalid system configuration");
         assert_eq!(
             spec.assignment.n(),
@@ -456,7 +428,6 @@ impl<P: Protocol> ShardCore<P> {
             topology: spec.topology,
             factory,
             shots: spec.shots,
-            offset,
             shot: 0,
             correct: Vec::new(),
             inputs: BTreeMap::new(),
@@ -552,6 +523,7 @@ impl<P: Protocol> ShardCore<P> {
         self.bits_sent = 0;
         self.state_bits = 0;
         self.peak_state_bits = 0;
+        self.frames = FrameInterner::new();
         self.active = true;
         Some(spawned)
     }
@@ -707,19 +679,21 @@ impl<P: Protocol> ShardCore<P> {
     }
 
     /// The calling-thread middle of a shard's tick, run after the send
-    /// chunks merged into `wires` (correct processes in ascending pid
-    /// order): appends the adversary's wires, stamps frame tokens from
-    /// the shard's one interner, and plans the routes — topology plus
-    /// the stateful drop policy, queried in exact wire order — folding
-    /// the tallies into the shot's counters. `record` sees every
-    /// *attempted* delivery in routing order (the trace hook; untraced
-    /// engines pass a no-op).
+    /// chunks merged into `casts` (correct processes in ascending pid
+    /// order): appends the adversary's casts, stamps frame tokens from
+    /// the shot's one interner, plans the routes — topology plus the
+    /// stateful drop policy, queried in exact (cast, recipient) order —
+    /// folding the tallies into the shot's counters, journals the round
+    /// (one record per delivery class) if the shard is durable, and
+    /// builds the class inboxes the receive phase and
+    /// [`deliver_byz`](ShardCore::deliver_byz) read from `plan`. `record`
+    /// sees every *attempted* delivery in routing order (the trace hook;
+    /// untraced engines pass a no-op).
     ///
     /// Both sharded engines — the lock-step simulator and the threaded
-    /// cluster — call this between their send and deliver/receive
-    /// scatters, so the adversary contract assert, the restricted
-    /// clamp, and the counter accounting exist in exactly one place and
-    /// cannot drift.
+    /// cluster — call this between their send and receive scatters, so
+    /// the adversary contract assert, the restricted clamp, and the
+    /// counter accounting exist in exactly one place and cannot drift.
     ///
     /// # Panics
     ///
@@ -728,10 +702,10 @@ impl<P: Protocol> ShardCore<P> {
         &mut self,
         shard: ShardId,
         byz_sent: &mut IdBits,
-        wires: &mut Vec<ShardWire<P::Msg>>,
-        route_plan: &mut Vec<bool>,
+        casts: &mut Vec<Cast<P::Msg>>,
+        plan: &mut DeliveryPlan<P::Msg>,
         measure_bits: bool,
-        record: impl FnMut(&ShardWire<P::Msg>, bool),
+        record: impl FnMut(&Cast<P::Msg>, Pid, bool),
     ) where
         P::Msg: WireEncode,
     {
@@ -742,7 +716,7 @@ impl<P: Protocol> ShardCore<P> {
             byz: &self.byz,
         };
         let emissions = self.adversary.send(&ctx);
-        par::adversary_wires(
+        par::adversary_casts(
             emissions,
             &self.byz,
             &self.assignment,
@@ -750,56 +724,46 @@ impl<P: Protocol> ShardCore<P> {
             byz_sent,
             |m| if measure_bits { wire_bits(m) } else { 0 },
             Some(shard),
-            wires,
+            casts,
         );
-        par::stamp_toks(&mut self.frames, wires);
+        par::stamp_toks(&mut self.frames, casts);
         let down = (!self.crashed.is_empty()).then_some(&self.crashed);
         let tallies = par::plan_routes(
-            wires,
+            casts,
             self.round,
+            &self.assignment,
             &self.topology,
             down,
             self.drops.as_mut(),
-            route_plan,
+            plan,
             record,
         );
         self.messages_sent += tallies.sent;
         self.messages_delivered += tallies.delivered;
         self.messages_dropped += tallies.dropped;
         self.bits_sent += tallies.bits;
-        self.journal_deliveries(wires, route_plan);
-    }
-
-    /// Journals this round's planned deliveries, one [`Deliveries`
-    /// entry](journal::JournalEntry::Deliveries) per live journaled
-    /// process (even when its inbox is empty — sending mutates state, so
-    /// every executed round must replay). No-op unless the shard is
-    /// durable.
-    fn journal_deliveries(&mut self, wires: &[ShardWire<P::Msg>], plan: &[bool])
-    where
-        P::Msg: WireEncode,
-    {
-        if self.journals.is_empty() {
-            return;
-        }
-        self.records.begin(self.cfg.n);
-        for (wire, &deliver) in wires.iter().zip(plan) {
-            if deliver && self.journals.contains_key(&wire.to) {
-                self.records.stage(wire.to, wire.src, wire.tok, &*wire.msg);
+        // A crashed process is not executing this round: nothing to
+        // replay, nobody to read an inbox.
+        let crashed = &self.crashed;
+        if !self.journals.is_empty() {
+            plan.journal(
+                casts,
+                self.round,
+                &mut self.records,
+                DeliveryRecords::stage::<P::Msg>,
+                &mut self.journals,
+                |pid| !crashed.contains(&pid),
+            );
+            for (pid, journal) in &mut self.journals {
+                if !crashed.contains(pid) {
+                    journal.sync().expect("journal sync failed");
+                }
             }
         }
-        for (&pid, journal) in &mut self.journals {
-            if self.crashed.contains(&pid) {
-                continue; // not executing this round: nothing to replay
-            }
-            journal
-                .append(self.records.record(self.round, pid))
-                .and_then(|()| journal.sync())
-                .expect("journal append failed");
-        }
+        plan.build_inboxes(casts, self.cfg.counting, |pid| !crashed.contains(&pid));
     }
 
-    /// Marks `pid` crashed: its wires are force-dropped from the next
+    /// Marks `pid` crashed: its messages are force-dropped from the next
     /// route pass on and its journal is suspended. The engine must drop
     /// the pid's automaton itself (the core never holds automata).
     pub fn crash(&mut self, pid: Pid) -> Result<(), ChurnError> {
@@ -875,18 +839,11 @@ impl<P: Protocol> ShardCore<P> {
         }
     }
 
-    /// Phase 3 (Byzantine half) — drain the Byzantine slots and hand the
-    /// inboxes to the adversary, at the current round (the caller
-    /// advances the round afterwards).
-    pub fn deliver_byz(&mut self, slots: &mut DeliverySlots<'_, P::Msg>) {
-        let byz_inboxes: BTreeMap<Pid, Inbox<P::Msg>> = self
-            .byz
-            .iter()
-            .map(|&pid| {
-                let slot = Pid::new(self.offset + pid.index());
-                (pid, slots.take_inbox(slot, self.cfg.counting))
-            })
-            .collect();
+    /// Phase 3 (Byzantine half) — hand the adversary its processes'
+    /// inboxes at the current round (the caller advances the round
+    /// afterwards) and release the tick's class inboxes.
+    pub fn deliver_byz(&mut self, plan: &mut DeliveryPlan<P::Msg>) {
+        let byz_inboxes = plan.take_byz_inboxes(&self.byz);
         self.adversary.receive(self.round, &byz_inboxes);
     }
 }
@@ -900,7 +857,7 @@ pub enum ChurnOp<P: Protocol> {
     /// starts immediately.
     Enqueue(ShardId, ShotSpec<P>),
     /// Crash one process of the shard's live shot: its automaton is
-    /// dropped and its wires are force-dropped until it recovers.
+    /// dropped and its messages are force-dropped until it recovers.
     Crash(ShardId, Pid),
     /// Recover a crashed process of the shard's live shot, durably
     /// (journal replay; requires [`ShardSpec::durable`]) or amnesiac
@@ -962,19 +919,20 @@ impl<P: Protocol> ChurnPlan<P> {
 /// One shard of the lock-step engine: the shared bookkeeping, the
 /// automata themselves, and the shard-private scratch buffers one tick's
 /// work needs — so a worker task touching this shard's chunk touches
-/// nothing outside it (and its slot range of the plane).
+/// nothing outside it.
 struct SimShard<P: Protocol> {
     core: ShardCore<P>,
     procs: BTreeMap<Pid, P>,
-    /// This tick's routed wires (reused across ticks, local coords).
-    wires: Vec<ShardWire<P::Msg>>,
+    /// This tick's casts (reused across ticks, local coords).
+    casts: Vec<Cast<P::Msg>>,
+    /// This tick's routing plan: per-cast recipient rows, delivery
+    /// classes, one shared inbox per class.
+    plan: DeliveryPlan<P::Msg>,
     /// This tick's trace entries, drained into the global trace — in
     /// shard order — after every shard has stepped.
     trace_buf: Vec<ShardDelivery<P::Msg>>,
     /// Per-chunk send buffers (intra-shard parallelism scratch).
     send_scratch: Vec<SendScratch<P::Msg>>,
-    /// This tick's per-wire delivery plan (route phase output).
-    route_plan: Vec<bool>,
     /// The adversary's restricted-clamp bitset, reused across ticks.
     byz_sent: IdBits,
     /// Per-chunk receive results: `(pid, decision, state_bits)`.
@@ -993,40 +951,34 @@ struct SendCtx<'a, P: Protocol> {
     ranges: Vec<Range<usize>>,
 }
 
-/// Borrow bundle for one shard's receive phase: the planned wire list,
-/// the shard's sub-split plane views, and the per-chunk result buffers.
+/// Borrow bundle for one shard's receive phase: the routing plan and the
+/// per-chunk result buffers.
 struct RecvCtx<'a, P: Protocol> {
     r: Round,
-    offset: usize,
-    counting: Counting,
-    wires: &'a [ShardWire<P::Msg>],
-    plan: &'a [bool],
+    plan: &'a DeliveryPlan<P::Msg>,
     ranges: Vec<Range<usize>>,
-    views: Vec<DeliverySlots<'a, P::Msg>>,
     procs: Vec<(Pid, &'a mut P)>,
     outs: &'a mut [Vec<(Pid, Option<P::Value>, u64)>],
 }
 
 /// A deterministic scheduler driving K independent agreement instances
-/// through one shared delivery plane.
+/// tick by tick.
 ///
 /// Each global **tick** executes one round of every live shard: the
-/// shard sends, routes its wires into its own slot range of the shared
-/// [`Deliveries`] plane, receives, and (if decided or horizon-hit) rolls
-/// over to its next queued shot. Bucket allocations are reused across
-/// both rounds and shards, and each payload is wrapped in an `Arc`
-/// exactly once regardless of K.
+/// shard sends, routes its casts into delivery classes, receives, and (if
+/// decided or horizon-hit) rolls over to its next queued shot. Scratch
+/// allocations are reused across both rounds and shots, and each payload
+/// is wrapped in an `Arc` exactly once regardless of K.
 ///
 /// The scheduler is generic over an [`Executor`]: under the default
 /// [`Sequential`] executor shards step one after another on the calling
 /// thread; under [`Pool`](homonym_core::exec::Pool) each tick fans the
-/// shards out across worker threads, every worker writing its shards'
-/// disjoint plane ranges concurrently (via
-/// [`Deliveries::split_slots`]) and the per-shard trace buffers merging
-/// back in shard order — so traces, decisions, and reports are
-/// **byte-identical at any worker count** (`tests/shard_isolation.rs`
-/// property-tests this; `tests/fabric_golden.rs` pins it against the
-/// sequential golden digests).
+/// shards out across worker threads, every worker touching only its
+/// shards' own buffers and the per-shard trace buffers merging back in
+/// shard order — so traces, decisions, and reports are **byte-identical
+/// at any worker count** (`tests/shard_isolation.rs` property-tests
+/// this; `tests/fabric_golden.rs` pins it against the sequential golden
+/// digests).
 ///
 /// # Example
 ///
@@ -1053,10 +1005,6 @@ struct RecvCtx<'a, P: Protocol> {
 /// ```
 pub struct ShardedSimulation<P: Protocol, E: Executor = Sequential> {
     shards: Vec<SimShard<P>>,
-    plane: Deliveries<P::Msg>,
-    /// Per-shard slot widths, in shard order — fixed at `add_shard`
-    /// time, cached so each tick's plane split allocates no new vector.
-    widths: Vec<usize>,
     exec: E,
     tick: u64,
     trace: Option<ShardedTrace<P::Msg>>,
@@ -1084,8 +1032,6 @@ impl<P: Protocol, E: Executor> ShardedSimulation<P, E> {
     pub fn with_executor(exec: E) -> Self {
         ShardedSimulation {
             shards: Vec::new(),
-            plane: Deliveries::new(0),
-            widths: Vec::new(),
             exec,
             tick: 0,
             trace: None,
@@ -1106,8 +1052,7 @@ impl<P: Protocol, E: Executor> ShardedSimulation<P, E> {
         self
     }
 
-    /// Enqueues a shard, widening the shared plane by the shard's `n`
-    /// slots, and starts its first shot.
+    /// Enqueues a shard and starts its first shot.
     ///
     /// # Panics
     ///
@@ -1119,10 +1064,7 @@ impl<P: Protocol, E: Executor> ShardedSimulation<P, E> {
         factory: impl ProtocolFactory<P = P> + Send + 'static,
     ) -> ShardId {
         let id = ShardId(self.shards.len());
-        let offset = self.plane.n();
-        self.widths.push(spec.cfg.n);
-        self.plane.ensure_n(offset + spec.cfg.n);
-        let mut core = ShardCore::new(spec, Box::new(factory), offset);
+        let mut core = ShardCore::new(spec, Box::new(factory));
         let procs = core
             .start_next_shot(self.tick)
             .map(|spawned| spawned.into_iter().collect())
@@ -1130,10 +1072,10 @@ impl<P: Protocol, E: Executor> ShardedSimulation<P, E> {
         self.shards.push(SimShard {
             core,
             procs,
-            wires: Vec::new(),
+            casts: Vec::new(),
+            plan: DeliveryPlan::new(),
             trace_buf: Vec::new(),
             send_scratch: Vec::new(),
-            route_plan: Vec::new(),
             byz_sent: IdBits::new(),
             recv_out: Vec::new(),
         });
@@ -1165,19 +1107,18 @@ impl<P: Protocol, E: Executor> ShardedSimulation<P, E> {
         self.trace
     }
 
-    /// Executes one global tick: one round of every live shard, through
-    /// the shared plane.
+    /// Executes one global tick: one round of every live shard.
     ///
     /// Work is fanned out as flattened **(shard, chunk)** units — a big
     /// shard splits internally into contiguous pid chunks instead of
     /// serializing the whole tick behind one indivisible task — in two
-    /// scatters: every shard's send chunks, then every shard's
-    /// deliver/receive chunks (each against its own sub-split of the
-    /// shard's plane range, via [`DeliverySlots::split_widths`]). Between
-    /// them the calling thread walks the shards in shard order doing the
+    /// scatters: every shard's send chunks, then every shard's receive
+    /// chunks (each reading its shard's routing plan). Between them the
+    /// calling thread walks the shards in shard order doing the
     /// inherently sequential work: merging chunk buffers in chunk order,
-    /// the adversary's emissions, frame-token stamping, and route
-    /// planning (stateful drop policies make query order observable).
+    /// the adversary's emissions, frame-token stamping, route planning
+    /// (stateful drop policies make query order observable), journaling
+    /// and the class inboxes.
     /// Per-shard object call sequences are exactly the single-shot
     /// engine's and trace buffers merge in shard order, so traces,
     /// decisions, and reports are **byte-identical at any worker count**.
@@ -1247,7 +1188,7 @@ impl<P: Protocol, E: Executor> ShardedSimulation<P, E> {
 
         // Calling-thread pass, in shard order: merge chunk buffers (chunk
         // order = pid order), adversary emissions, frame-token stamping,
-        // route planning, counters.
+        // route planning, counters, journal, class inboxes.
         for (s, shard) in self.shards.iter_mut().enumerate() {
             if !shard.core.active {
                 continue;
@@ -1256,37 +1197,37 @@ impl<P: Protocol, E: Executor> ShardedSimulation<P, E> {
             let SimShard {
                 core,
                 procs,
-                wires,
+                casts,
+                plan,
                 send_scratch,
                 trace_buf,
                 byz_sent,
-                route_plan,
                 ..
             } = shard;
             let r = core.round;
-            wires.clear();
+            casts.clear();
             let chunks = exec::chunk_ranges(procs.len(), workers).len();
             for scratch in send_scratch.iter_mut().take(chunks) {
-                scratch.drain_into(wires);
+                scratch.drain_into(casts);
             }
             let shot = core.shot;
             core.plan_tick(
                 sid,
                 byz_sent,
-                wires,
-                route_plan,
+                casts,
+                plan,
                 measure_bits,
-                |wire, dropped| {
+                |cast, to, dropped| {
                     if record_trace {
                         trace_buf.push(ShardDelivery {
                             shard: sid,
                             shot,
                             delivery: Delivery {
                                 round: r,
-                                from: wire.from,
-                                src_id: wire.src,
-                                to: wire.to,
-                                msg: Arc::clone(&wire.msg),
+                                from: cast.from,
+                                src_id: cast.src,
+                                to,
+                                msg: Arc::clone(&cast.msg),
                                 dropped,
                             },
                         });
@@ -1295,37 +1236,29 @@ impl<P: Protocol, E: Executor> ShardedSimulation<P, E> {
             );
         }
 
-        // Phase 2 — deliver + receive, one flattened scatter of
-        // (shard, chunk) units; each chunk owns a disjoint sub-range of
-        // its shard's plane slots.
+        // Phase 2 — receive, one flattened scatter of (shard, chunk)
+        // units; every chunk of a shard reads the shard's one plan.
         {
-            let views = self.plane.split_slots(self.widths.iter().copied());
             let mut ctxs: Vec<RecvCtx<'_, P>> = Vec::new();
-            for (shard, view) in self.shards.iter_mut().zip(views) {
+            for shard in self.shards.iter_mut() {
                 if !shard.core.active {
                     continue;
                 }
                 let SimShard {
                     core,
                     procs,
-                    wires,
-                    route_plan,
+                    plan,
                     recv_out,
                     ..
                 } = shard;
-                let ranges = exec::chunk_ranges(core.cfg.n, workers);
+                let ranges = exec::chunk_ranges(procs.len(), workers);
                 if recv_out.len() < ranges.len() {
                     recv_out.resize_with(ranges.len(), Vec::new);
                 }
-                let sub_views = view.split_widths(ranges.iter().map(|rg| rg.len()));
                 ctxs.push(RecvCtx {
                     r: core.round,
-                    offset: core.offset,
-                    counting: core.cfg.counting,
-                    wires: wires.as_slice(),
-                    plan: route_plan.as_slice(),
+                    plan,
                     ranges,
-                    views: sub_views,
                     procs: procs.iter_mut().map(|(&pid, p)| (pid, p)).collect(),
                     outs: recv_out.as_mut_slice(),
                 });
@@ -1333,26 +1266,16 @@ impl<P: Protocol, E: Executor> ShardedSimulation<P, E> {
             let mut tasks = Vec::new();
             for ctx in ctxs.iter_mut() {
                 let r = ctx.r;
-                let offset = ctx.offset;
-                let counting = ctx.counting;
-                let wires = ctx.wires;
                 let plan = ctx.plan;
                 let mut procs = ctx.procs.as_mut_slice();
                 let mut outs = std::mem::take(&mut ctx.outs);
-                for (range, mut view) in ctx.ranges.iter().cloned().zip(ctx.views.drain(..)) {
-                    let split = procs
-                        .iter()
-                        .take_while(|(pid, _)| pid.index() < range.end)
-                        .count();
-                    let (chunk, rest) = std::mem::take(&mut procs).split_at_mut(split);
+                for range in &ctx.ranges {
+                    let (chunk, rest) = std::mem::take(&mut procs).split_at_mut(range.len());
                     procs = rest;
                     let (out, rest) = outs.split_at_mut(1);
                     outs = rest;
                     let out = &mut out[0];
-                    tasks.push(move || {
-                        par::deliver_chunk(wires, plan, offset, range, &mut view);
-                        par::receive_chunk(chunk, r, offset, counting, &mut view, out);
-                    });
+                    tasks.push(move || par::receive_chunk(chunk, r, plan, out));
                 }
             }
             self.exec.scatter(tasks);
@@ -1361,13 +1284,11 @@ impl<P: Protocol, E: Executor> ShardedSimulation<P, E> {
         // Post pass, in shard order: merge chunk results (decisions in
         // pid order), state sampling, Byzantine inboxes, round advance,
         // rollover.
-        let mut slots = self.plane.as_slots();
         for (s, shard) in self.shards.iter_mut().enumerate() {
             let sid = ShardId(s);
             if shard.core.active {
-                let chunks = exec::chunk_ranges(shard.core.cfg.n, workers).len();
                 let mut total = 0u64;
-                for out in shard.recv_out.iter_mut().take(chunks) {
+                for out in shard.recv_out.iter_mut() {
                     for (pid, decision, bits) in out.drain(..) {
                         total += bits;
                         if let Some(v) = decision {
@@ -1376,7 +1297,7 @@ impl<P: Protocol, E: Executor> ShardedSimulation<P, E> {
                     }
                 }
                 shard.core.record_state_bits(total);
-                shard.core.deliver_byz(&mut slots);
+                shard.core.deliver_byz(&mut shard.plan);
                 shard.core.round = shard.core.round.next();
             }
             if let Some(spawned) = shard.core.roll_over_if_done(sid, tick, measure_bits) {
@@ -1385,7 +1306,7 @@ impl<P: Protocol, E: Executor> ShardedSimulation<P, E> {
         }
 
         // Merge per-shard trace buffers in shard order — the same global
-        // routing order the plane-wide sequential sweep recorded.
+        // routing order a sequential sweep over the shards records.
         if let Some(trace) = &mut self.trace {
             for shard in &mut self.shards {
                 trace.entries.append(&mut shard.trace_buf);
@@ -1547,7 +1468,7 @@ impl<P: Protocol, E: Executor> ShardedSimulation<P, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use homonym_core::{FnFactory, Recipients};
+    use homonym_core::{FnFactory, Id, Inbox, Recipients};
 
     /// A minimal synchronous agreement: broadcast the input every round,
     /// decide on the smallest value heard from all `n` identifiers.
@@ -1634,8 +1555,28 @@ mod tests {
         assert_eq!(decided, vec![5, 7, 1]);
     }
 
+    /// A finished shot's payloads go with its interner: after K shots of
+    /// distinct inputs the shard retains what one shot interns, not K
+    /// shots' worth.
     #[test]
-    fn heterogeneous_shard_sizes_share_one_plane() {
+    fn frame_interner_starts_fresh_every_shot() {
+        let frames_after = |shots: u32| {
+            let mut spec = ShardSpec::new(cfg(3), IdAssignment::unique(3));
+            for k in 0..shots {
+                spec = spec.shot(ShotSpec::new(vec![10 * k, 10 * k + 1, 10 * k + 2]));
+            }
+            let mut sharded = ShardedSimulation::new();
+            sharded.add_shard(spec, min_agree_factory(3));
+            let reports = sharded.run(64);
+            assert_eq!(reports[0].decided_shots(), shots as usize);
+            sharded.shards[0].core.frames.len()
+        };
+        assert_eq!(frames_after(1), 3);
+        assert_eq!(frames_after(8), frames_after(1));
+    }
+
+    #[test]
+    fn heterogeneous_shard_sizes_share_one_scheduler() {
         let mut sharded = ShardedSimulation::new();
         for n in [2usize, 5, 3] {
             let spec = ShardSpec::new(cfg(n), IdAssignment::unique(n))
@@ -1733,7 +1674,7 @@ mod tests {
     }
 
     /// The acceptance criterion: K = 64 independent n = 32 synchronous
-    /// agreement shards, multi-shot, through one plane — and the engine
+    /// agreement shards, multi-shot, under one scheduler — and the engine
     /// clones **zero** payloads (same counting-`Clone` technique as the
     /// single-shot fabric test).
     mod clone_counting {
