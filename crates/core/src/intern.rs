@@ -189,6 +189,9 @@ impl IdBits {
     }
 
     /// Inserts `index`; returns whether it was newly set.
+    // Inlinable across crates: the route pass sets one bit per delivered
+    // (cast, recipient) pair.
+    #[inline]
     pub fn insert(&mut self, index: usize) -> bool {
         let word = index / 64;
         if word >= self.words.len() {

@@ -8,9 +8,11 @@
 //!
 //! * [`Journal`] — an append/sync/recover log of opaque byte records.
 //!   Two backends ship: [`MemJournal`] (the engines' default, modelling
-//!   the write-vs-fsync boundary in memory) and [`FileWal`] (a file-backed
-//!   write-ahead log with checksummed records, the durable-state substrate
-//!   the `homonymd` service tier will sit on).
+//!   the write-vs-fsync boundary in memory, and holding a record appended
+//!   to several journals with [`Journal::append_shared`] once) and
+//!   [`FileWal`] (a file-backed write-ahead log with checksummed records,
+//!   the durable-state substrate the `homonymd` service tier will sit
+//!   on).
 //! * [`JournalEntry`] — the typed record layer: per-round delivered
 //!   envelopes and versioned state snapshots, encoded with the exact wire
 //!   codec ([`crate::codec`]).
@@ -41,6 +43,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::codec::{
     decode_frame, DecodeError, Reader, WireDecode, WireEncode, Writer, FORMAT_VERSION,
@@ -151,6 +154,14 @@ pub struct Recovered {
 pub trait Journal {
     /// Stages one record payload.
     fn append(&mut self, payload: &[u8]) -> Result<(), JournalError>;
+    /// Stages one record that other journals may hold too — what the
+    /// lock-step engines append to every member of a delivery class.
+    /// Stages exactly what [`append`](Journal::append) would; a backend
+    /// that keeps records in memory may keep the shared handle instead of
+    /// a copy.
+    fn append_shared(&mut self, record: &Arc<[u8]>) -> Result<(), JournalError> {
+        self.append(record)
+    }
     /// Makes every staged record durable.
     fn sync(&mut self) -> Result<(), JournalError>;
     /// Scans the durable log, returning the intact prefix and the first
@@ -260,10 +271,17 @@ fn scan_records(bytes: &[u8], base: u64) -> Recovered {
 /// Staged records become durable on [`sync`](Journal::sync);
 /// [`crash`](MemJournal::crash) models power loss by dropping everything
 /// staged since the last sync.
+///
+/// Records are held as shared `Arc<[u8]>` handles. A record staged with
+/// [`append_shared`](Journal::append_shared) is kept by handle, so the
+/// members of a delivery class — whose records are byte-identical — hold
+/// one allocation between them instead of a copy each; a crash or a
+/// [`reset`](Journal::reset) just drops this journal's handles.
+/// [`recover`](Journal::recover) still returns owned copies.
 #[derive(Clone, Debug, Default)]
 pub struct MemJournal {
-    synced: Vec<Vec<u8>>,
-    staged: VecDeque<Vec<u8>>,
+    synced: Vec<Arc<[u8]>>,
+    staged: VecDeque<Arc<[u8]>>,
 }
 
 impl MemJournal {
@@ -286,7 +304,12 @@ impl MemJournal {
 
 impl Journal for MemJournal {
     fn append(&mut self, payload: &[u8]) -> Result<(), JournalError> {
-        self.staged.push_back(payload.to_vec());
+        self.staged.push_back(Arc::from(payload));
+        Ok(())
+    }
+
+    fn append_shared(&mut self, record: &Arc<[u8]>) -> Result<(), JournalError> {
+        self.staged.push_back(Arc::clone(record));
         Ok(())
     }
 
@@ -297,7 +320,7 @@ impl Journal for MemJournal {
 
     fn recover(&self) -> Recovered {
         Recovered {
-            records: self.synced.clone(),
+            records: self.synced.iter().map(|r| r.to_vec()).collect(),
             damage: None,
         }
     }
@@ -792,6 +815,53 @@ mod tests {
         let rec = j.recover();
         assert_eq!(rec.records, vec![b"a".to_vec(), b"c".to_vec()]);
         assert_eq!(rec.damage, None);
+    }
+
+    #[test]
+    fn a_shared_record_is_one_allocation_across_journals() {
+        let record: Arc<[u8]> = Arc::from(&entry(3, &[(1, 10), (2, 20)])[..]);
+        let mut journals: Vec<MemJournal> = (0..4).map(|_| MemJournal::new()).collect();
+        for j in &mut journals {
+            j.append_shared(&record).unwrap();
+            j.sync().unwrap();
+        }
+        assert_eq!(Arc::strong_count(&record), journals.len() + 1);
+        for j in &journals {
+            assert_eq!(j.recover().records, vec![record.to_vec()]);
+            assert_eq!(j.synced_bytes(), record.len() as u64);
+        }
+        // A crash drops only the staged handle; the synced one survives.
+        journals[0].append_shared(&record).unwrap();
+        assert_eq!(Arc::strong_count(&record), journals.len() + 2);
+        journals[0].crash();
+        assert_eq!(Arc::strong_count(&record), journals.len() + 1);
+        assert_eq!(journals[0].recover().records, vec![record.to_vec()]);
+        // A reset releases every handle, staged and synced.
+        for j in &mut journals {
+            j.append_shared(&record).unwrap();
+            j.reset().unwrap();
+            assert!(j.recover().records.is_empty());
+        }
+        assert_eq!(Arc::strong_count(&record), 1);
+    }
+
+    #[test]
+    fn file_wal_append_shared_writes_what_append_writes() {
+        let (plain, shared) = (tmp("plain"), tmp("shared"));
+        let record: Arc<[u8]> = Arc::from(&entry(1, &[(2, 70_000)])[..]);
+        let mut a = FileWal::create(&plain).unwrap();
+        a.append(&record).unwrap();
+        a.sync().unwrap();
+        let mut b = FileWal::create(&shared).unwrap();
+        b.append_shared(&record).unwrap();
+        b.sync().unwrap();
+        assert_eq!(
+            std::fs::read(&plain).unwrap(),
+            std::fs::read(&shared).unwrap()
+        );
+        assert_eq!(b.recover().records, vec![record.to_vec()]);
+        std::fs::remove_file(&plain).ok();
+        std::fs::remove_file(&shared).ok();
     }
 
     #[test]

@@ -22,7 +22,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use homonym_core::codec::{DecodeError, Reader, WireDecode, WireEncode, Writer};
-use homonym_core::{Domain, Id, Inbox, Protocol, ProtocolFactory, Recipients, Round, Value};
+use homonym_core::{
+    Domain, Id, IdBits, Inbox, Protocol, ProtocolFactory, Recipients, Round, Value,
+};
 
 use crate::broadcast::{EchoBroadcast, EchoItem};
 
@@ -773,7 +775,7 @@ impl<V: Value> Protocol for HomonymAgreement<V> {
         // Proper-set rules (innumerate: count distinct identifiers).
         let proper_views: Vec<(Id, &BTreeSet<V>)> =
             inbox.iter().map(|(src, b, _)| (src, &*b.proper)).collect();
-        self.update_proper(&proper_views);
+        update_proper(&mut self.proper, &self.domain, self.t, &proper_views);
 
         // Direct items.
         let leader = Id::phase_leader(ph, self.ell);
@@ -870,33 +872,46 @@ impl<V: Value> Protocol for HomonymAgreement<V> {
     }
 }
 
-impl<V: Value> HomonymAgreement<V> {
-    /// Applies the Section 4.2 proper-set rules for one round's messages
-    /// (innumerate: by distinct identifiers).
-    fn update_proper(&mut self, views: &[(Id, &BTreeSet<V>)]) {
-        let reporter_ids: BTreeSet<Id> = views.iter().map(|&(i, _)| i).collect();
-        let mut reached = false;
-        for v in self.domain.values() {
-            let support = views
-                .iter()
-                .filter(|(_, s)| s.contains(v))
-                .map(|&(i, _)| i)
-                .collect::<BTreeSet<Id>>()
-                .len();
-            if support >= self.t + 1 {
-                // Guarded insert: a steady-state round re-confirms values
-                // that are already proper, and must not clone them again.
-                if !self.proper.contains(v) {
-                    Arc::make_mut(&mut self.proper).insert(v.clone());
-                }
-                reached = true;
+/// Applies the Section 4.2 proper-set rules for one round's `(sender
+/// identifier, proper set)` views (innumerate: by distinct identifiers).
+/// Shared with the bounded variant.
+pub(crate) fn update_proper<V: Value>(
+    proper: &mut Arc<BTreeSet<V>>,
+    domain: &Domain<V>,
+    t: usize,
+    views: &[(Id, &BTreeSet<V>)],
+) {
+    // One bitset counts the identifiers reporting each value in turn,
+    // then, if no value reached t + 1, every reporting identifier.
+    let mut ids = IdBits::new();
+    let mut reached = false;
+    for v in domain.values() {
+        ids.clear();
+        for &(i, s) in views {
+            if s.contains(v) {
+                ids.insert(i.index());
             }
         }
-        if !reached && reporter_ids.len() >= 2 * self.t + 1 {
-            for v in self.domain.values() {
-                if !self.proper.contains(v) {
-                    Arc::make_mut(&mut self.proper).insert(v.clone());
-                }
+        if ids.len() >= t + 1 {
+            // Guarded insert: a steady-state round re-confirms values
+            // that are already proper, and must not clone them again.
+            if !proper.contains(v) {
+                Arc::make_mut(proper).insert(v.clone());
+            }
+            reached = true;
+        }
+    }
+    if reached {
+        return;
+    }
+    ids.clear();
+    for &(i, _) in views {
+        ids.insert(i.index());
+    }
+    if ids.len() >= 2 * t + 1 {
+        for v in domain.values() {
+            if !proper.contains(v) {
+                Arc::make_mut(proper).insert(v.clone());
             }
         }
     }

@@ -25,6 +25,19 @@
 //! because its quorum checks are per-current-phase. The faithful protocols
 //! stay untouched as the reference oracle; `bounded_equivalence` tests pin
 //! decision-for-decision parity against them.
+//!
+//! Receiving costs what the senders *added*, not what they hold. Echo
+//! evidence is cumulative and idempotent per identifier, so
+//! [`BoundedAgreement`] remembers, per sender identifier, the echo sets
+//! it has counted: a set re-delivered under the same `Arc` is skipped,
+//! and a grown one is narrowed through the bundle's scan hint `(prev,
+//! delta)` — the sender's previously handed-out set and the items it
+//! joined since — to `delta` alone when `prev` was counted. The hint
+//! obeys two rules on the sending side: a prune restarts it from a fresh
+//! empty `prev` (a pruned set is not `prev ∪ delta`, so receivers fall
+//! back to a difference against a counted set or a full scan), and while
+//! `prev` is empty no delta is maintained — the hint is `(prev, wire)`,
+//! which spares the first superround a second insert per join.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -34,7 +47,7 @@ use homonym_core::{
     Domain, Id, IdBits, Inbox, Protocol, ProtocolFactory, Recipients, Round, Value,
 };
 
-use crate::agreement::{phase_pos, Direct, Payload, PhasePos};
+use crate::agreement::{phase_pos, update_proper, Direct, Payload, PhasePos};
 use crate::broadcast::{Accept, EchoItem};
 
 /// How many superrounds of echoes survive behind the stable superround by
@@ -67,6 +80,13 @@ pub struct BoundedEchoBroadcast<M> {
     echoing: BTreeSet<BKey<M>>,
     /// The wire form of `echoing`, shared with outgoing bundles.
     wire: Arc<BTreeSet<EchoItem<M>>>,
+    /// The wire set as last handed out with new content, or a fresh empty
+    /// set (initially and after a prune). With `delta` it is the bundles'
+    /// scan hint: `wire == prev ∪ delta` whenever `prev` is non-empty.
+    prev: Arc<BTreeSet<EchoItem<M>>>,
+    /// The items joined since `prev` — kept only while `prev` is
+    /// non-empty; against an empty `prev` the hint is `wire` itself.
+    delta: Arc<BTreeSet<EchoItem<M>>>,
     /// Distinct identifiers seen echoing each in-window key.
     evidence: BTreeMap<BKey<M>, IdBits>,
     /// In-window keys already accepted (each accept fires once; keys
@@ -96,12 +116,15 @@ impl<M: homonym_core::Message> BoundedEchoBroadcast<M> {
     /// Creates the layer with an explicit window (superrounds of history
     /// kept behind the stable superround).
     pub fn with_window(ell: usize, t: usize, window: u64) -> Self {
+        let wire = Arc::new(BTreeSet::new());
         BoundedEchoBroadcast {
             ell,
             t,
             window,
             echoing: BTreeSet::new(),
-            wire: Arc::new(BTreeSet::new()),
+            prev: Arc::clone(&wire),
+            delta: Arc::clone(&wire),
+            wire,
             evidence: BTreeMap::new(),
             accepted: BTreeSet::new(),
             queue: Vec::new(),
@@ -138,6 +161,26 @@ impl<M: homonym_core::Message> BoundedEchoBroadcast<M> {
         (inits, Arc::clone(&self.wire))
     }
 
+    /// The scan hint shipped alongside the wire set: `(prev, delta)` with
+    /// `wire == prev ∪ delta` — `(prev, wire)` while `prev` is empty.
+    /// Calling this hands the current version out, so later growth
+    /// accumulates into a fresh delta against it.
+    pub(crate) fn wire_delta(
+        &mut self,
+    ) -> (Arc<BTreeSet<EchoItem<M>>>, Arc<BTreeSet<EchoItem<M>>>) {
+        let added = if self.prev.is_empty() {
+            &self.wire
+        } else {
+            &self.delta
+        };
+        let hint = (Arc::clone(&self.prev), Arc::clone(added));
+        if !hint.1.is_empty() {
+            self.prev = Arc::clone(&self.wire);
+            self.delta = Arc::new(BTreeSet::new());
+        }
+        hint
+    }
+
     /// Whether a queued `Broadcast` would emit an `⟨init⟩` at `round`.
     pub(crate) fn init_due(&self, round: Round) -> bool {
         round.is_first_of_superround() && !self.queue.is_empty()
@@ -154,7 +197,8 @@ impl<M: homonym_core::Message> BoundedEchoBroadcast<M> {
         self.horizon
     }
 
-    /// Starts echoing `key` (idempotent), keeping the wire set in step.
+    /// Starts echoing `key` (idempotent), keeping the wire set and its
+    /// delta in step.
     fn start_echoing(&mut self, key: BKey<M>) {
         let item = EchoItem {
             payload: Arc::clone(&key.2),
@@ -163,6 +207,9 @@ impl<M: homonym_core::Message> BoundedEchoBroadcast<M> {
         };
         if self.echoing.insert(key) {
             self.generation += 1;
+            if !self.prev.is_empty() {
+                Arc::make_mut(&mut self.delta).insert(item.clone());
+            }
             Arc::make_mut(&mut self.wire).insert(item);
         }
     }
@@ -188,6 +235,11 @@ impl<M: homonym_core::Message> BoundedEchoBroadcast<M> {
         if self.wire.iter().any(|item| item.sr < h) {
             Arc::make_mut(&mut self.wire).retain(|item| item.sr >= h);
             self.generation += 1;
+            // A pruned set is not `prev ∪ delta`: the next hint starts
+            // from a fresh empty `prev`, which no receiver has counted, so
+            // receivers fall back to their difference or full scan.
+            self.prev = Arc::new(BTreeSet::new());
+            self.delta = Arc::clone(&self.prev);
         }
     }
 
@@ -310,17 +362,84 @@ impl<M: homonym_core::Message> BoundedEchoBroadcast<M> {
 
 /// The single wire message of the bounded Figure 5 protocol: the faithful
 /// bundle's four fields plus the sender's superround **watermark**. The
-/// echo set is the *windowed* one, so the bundle is constant-size; there
-/// is no scan hint — windowed sets are small enough to rescan.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// echo set is the *windowed* one, so the bundle is constant-size.
+///
+/// Like the faithful [`Bundle`](crate::Bundle), it also carries a *scan
+/// hint* `(prev, delta)` with `echoes == prev ∪ delta`: a receiver that
+/// already counted `prev` from this identifier scans only `delta`, the
+/// items the sender joined since. The hint is not part of the wire
+/// identity — `Debug`, `Eq`, `Ord` and the codec see the five wire fields
+/// only — and a decoded bundle carries the trivial hint `(∅, echoes)`.
+/// The sender's layer restarts it from a fresh empty `prev` whenever it
+/// prunes (a pruned set is not `prev ∪ delta`), and while `prev` is empty
+/// it ships `(prev, echoes)` rather than maintain a delta that would
+/// duplicate the whole set.
+#[derive(Clone)]
 pub struct BoundedBundle<V> {
     inits: BTreeSet<Payload<V>>,
-    echoes: Arc<BTreeSet<EchoItem<Payload<V>>>>,
+    echoes: EchoSet<V>,
     directs: BTreeSet<Direct<V>>,
     proper: Arc<BTreeSet<V>>,
     /// The sender's current superround — receivers fold it into their
     /// `max_sr` summary, which drives the pruning horizon.
     watermark: u64,
+    /// `(prev, delta)` with `echoes == prev ∪ delta`; see above.
+    hint: (EchoSet<V>, EchoSet<V>),
+}
+
+impl<V> BoundedBundle<V> {
+    /// The wire fields, as a tuple — the single definition of what
+    /// participates in equality, ordering, and rendering.
+    #[allow(clippy::type_complexity)]
+    fn wire_fields(
+        &self,
+    ) -> (
+        &BTreeSet<Payload<V>>,
+        &EchoSet<V>,
+        &BTreeSet<Direct<V>>,
+        &Arc<BTreeSet<V>>,
+        u64,
+    ) {
+        (
+            &self.inits,
+            &self.echoes,
+            &self.directs,
+            &self.proper,
+            self.watermark,
+        )
+    }
+}
+
+impl<V: PartialEq> PartialEq for BoundedBundle<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.wire_fields() == other.wire_fields()
+    }
+}
+
+impl<V: Eq> Eq for BoundedBundle<V> {}
+
+impl<V: Ord> PartialOrd for BoundedBundle<V> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<V: Ord> Ord for BoundedBundle<V> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.wire_fields().cmp(&other.wire_fields())
+    }
+}
+
+impl<V: std::fmt::Debug> std::fmt::Debug for BoundedBundle<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BoundedBundle")
+            .field("inits", &self.inits)
+            .field("echoes", &self.echoes)
+            .field("directs", &self.directs)
+            .field("proper", &self.proper)
+            .field("watermark", &self.watermark)
+            .finish()
+    }
 }
 
 impl<V: Value + WireEncode> WireEncode for BoundedBundle<V> {
@@ -335,9 +454,12 @@ impl<V: Value + WireEncode> WireEncode for BoundedBundle<V> {
 
 impl<V: Value + WireDecode> WireDecode for BoundedBundle<V> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let inits = BTreeSet::decode(r)?;
+        let echoes: EchoSet<V> = Arc::new(BTreeSet::decode(r)?);
         Ok(BoundedBundle {
-            inits: BTreeSet::decode(r)?,
-            echoes: Arc::new(BTreeSet::decode(r)?),
+            inits,
+            hint: (Arc::new(BTreeSet::new()), Arc::clone(&echoes)),
+            echoes,
             directs: BTreeSet::decode(r)?,
             proper: Arc::new(BTreeSet::decode(r)?),
             watermark: u64::decode(r)?,
@@ -395,6 +517,7 @@ impl<V: Value> BoundedBundle<V> {
     pub(crate) fn forged_with_echo(&self, item: EchoItem<Payload<V>>) -> Self {
         let mut forged = self.clone();
         Arc::make_mut(&mut forged.echoes).insert(item);
+        forged.hint = (Arc::new(BTreeSet::new()), Arc::clone(&forged.echoes));
         forged
     }
 }
@@ -451,6 +574,20 @@ impl<V: Value> BoundedAgreement<V> {
     /// Creates the automaton — same parameters and panics as
     /// [`HomonymAgreement::new`](crate::HomonymAgreement::new).
     pub fn new(n: usize, ell: usize, t: usize, domain: Domain<V>, id: Id, input: V) -> Self {
+        Self::with_window(n, ell, t, domain, id, input, DEFAULT_WINDOW_SUPERROUNDS)
+    }
+
+    /// [`new`](BoundedAgreement::new) with an explicit pruning window;
+    /// the per-phase retention scales with it.
+    fn with_window(
+        n: usize,
+        ell: usize,
+        t: usize,
+        domain: Domain<V>,
+        id: Id,
+        input: V,
+        window: u64,
+    ) -> Self {
         assert!(domain.contains(&input), "input must belong to the domain");
         assert!(ell >= t, "quorum ell - t requires ell >= t");
         BoundedAgreement {
@@ -461,12 +598,12 @@ impl<V: Value> BoundedAgreement<V> {
             proper: Arc::new(BTreeSet::from([input])),
             locks: BTreeSet::new(),
             decision: None,
-            bcast: BoundedEchoBroadcast::new(ell, t),
+            bcast: BoundedEchoBroadcast::with_window(ell, t, window),
             propose_acc: BTreeMap::new(),
             vote_acc: BTreeMap::new(),
             leader_locks: BTreeMap::new(),
             my_lock: BTreeMap::new(),
-            keep_phases: DEFAULT_WINDOW_SUPERROUNDS / 4,
+            keep_phases: (window / 4).max(1),
             send_cache: None,
             seen_echoes: BTreeMap::new(),
             domain,
@@ -633,6 +770,7 @@ impl<V: Value> BoundedAgreement<V> {
             }
         }
         let (inits, echoes) = self.bcast.shared_to_send(round);
+        let hint = self.bcast.wire_delta();
         let reusable = inits.is_empty() && directs.is_empty();
         let bundle = Arc::new(BoundedBundle {
             inits: inits.into_iter().collect(),
@@ -640,6 +778,7 @@ impl<V: Value> BoundedAgreement<V> {
             directs,
             proper: Arc::clone(&self.proper),
             watermark,
+            hint,
         });
         self.send_cache = Some(SendCache {
             bundle: Arc::clone(&bundle),
@@ -649,32 +788,6 @@ impl<V: Value> BoundedAgreement<V> {
             reusable,
         });
         bundle
-    }
-
-    fn update_proper(&mut self, views: &[(Id, &BTreeSet<V>)]) {
-        let reporter_ids: BTreeSet<Id> = views.iter().map(|&(i, _)| i).collect();
-        let mut reached = false;
-        for v in self.domain.values() {
-            let support = views
-                .iter()
-                .filter(|(_, s)| s.contains(v))
-                .map(|&(i, _)| i)
-                .collect::<BTreeSet<Id>>()
-                .len();
-            if support >= self.t + 1 {
-                if !self.proper.contains(v) {
-                    Arc::make_mut(&mut self.proper).insert(v.clone());
-                }
-                reached = true;
-            }
-        }
-        if !reached && reporter_ids.len() >= 2 * self.t + 1 {
-            for v in self.domain.values() {
-                if !self.proper.contains(v) {
-                    Arc::make_mut(&mut self.proper).insert(v.clone());
-                }
-            }
-        }
     }
 }
 
@@ -766,8 +879,10 @@ impl<V: Value> Protocol for BoundedAgreement<V> {
         // ignored as below the horizon — changes nothing when fed again:
         // it is already counted, or (still, or by now) below the horizon.
         // Hence the faithful stack's rule: an echo set re-delivered as the
-        // *same* `Arc` is skipped, and a changed one is narrowed to its
-        // difference against a set already counted from that identifier.
+        // *same* `Arc` is skipped; a changed one whose hint names a set
+        // already counted from that identifier is narrowed to the hint's
+        // delta (`echoes == prev ∪ delta`); any other is narrowed to its
+        // difference against a counted set, or scanned in full.
         // The one item that is ignored today and counts later is one
         // stamped past our own superround, so a set holding such an item
         // is not remembered as counted and is scanned again each round.
@@ -783,12 +898,14 @@ impl<V: Value> Protocol for BoundedAgreement<V> {
             watermarks.push((src, bundle.watermark));
             let prev = self.seen_echoes.get(&src).map_or(&[][..], Vec::as_slice);
             let fed_from = echoes.len();
-            if !prev.iter().any(|e| Arc::ptr_eq(e, &bundle.echoes)) {
-                match prev.first() {
-                    Some(baseline) => {
-                        echoes.extend(bundle.echoes.difference(baseline).map(|e| (src, e)))
-                    }
-                    None => echoes.extend(bundle.echoes.iter().map(|e| (src, e))),
+            let counted = |set: &EchoSet<V>| prev.iter().any(|e| Arc::ptr_eq(e, set));
+            if !counted(&bundle.echoes) {
+                if counted(&bundle.hint.0) {
+                    echoes.extend(bundle.hint.1.iter().map(|e| (src, e)));
+                } else if let Some(baseline) = prev.first() {
+                    echoes.extend(bundle.echoes.difference(baseline).map(|e| (src, e)));
+                } else {
+                    echoes.extend(bundle.echoes.iter().map(|e| (src, e)));
                 }
             }
             if echoes[fed_from..].iter().all(|(_, e)| e.sr <= now_sr) {
@@ -812,7 +929,7 @@ impl<V: Value> Protocol for BoundedAgreement<V> {
 
         let proper_views: Vec<(Id, &BTreeSet<V>)> =
             inbox.iter().map(|(src, b, _)| (src, &*b.proper)).collect();
-        self.update_proper(&proper_views);
+        update_proper(&mut self.proper, &self.domain, self.t, &proper_views);
 
         let leader = Id::phase_leader(ph, self.ell);
         if (2..=5).contains(&w) {
@@ -939,10 +1056,8 @@ impl<V: Value> ProtocolFactory for BoundedAgreementFactory<V> {
     type P = BoundedAgreement<V>;
 
     fn spawn(&self, id: Id, input: V) -> BoundedAgreement<V> {
-        let mut p = BoundedAgreement::new(self.n, self.ell, self.t, self.domain.clone(), id, input);
-        p.bcast = BoundedEchoBroadcast::with_window(self.ell, self.t, self.window);
-        p.keep_phases = (self.window / 4).max(1);
-        p
+        let domain = self.domain.clone();
+        BoundedAgreement::with_window(self.n, self.ell, self.t, domain, id, input, self.window)
     }
 }
 

@@ -28,9 +28,10 @@
 //!   round costs O(1) per cast and ends with a single class. One
 //!   [`Inbox`] is built per class (`DeliveryPlan::build_inboxes`) and,
 //!   on durable engines, one journal record is staged and assembled per
-//!   class and the same bytes appended to each member's own journal
-//!   (`DeliveryPlan::journal`) — the record does not name its
-//!   recipient, so neither the format nor recovery can tell.
+//!   class and the same shared bytes appended to each member's own
+//!   journal (`DeliveryPlan::journal`; a `MemJournal` keeps the handle,
+//!   not a copy) — the record does not name its recipient, so neither the
+//!   format nor recovery can tell.
 //! * **receive** — contiguous pid chunks again; each worker runs
 //!   [`Protocol::receive`] for its processes against their class's shared
 //!   inbox and collects `(pid, decision, state_bits)`, merged in chunk
@@ -483,8 +484,9 @@ impl<M: Message> DeliveryPlan<M> {
 
     /// Journals the round: one [`Deliveries`
     /// entry](homonym_core::journal::JournalEntry::Deliveries) per class
-    /// with a `live` journalled member, staged and assembled once and
-    /// appended to each such member's own journal (even when the class
+    /// with a `live` journalled member, staged and assembled once into one
+    /// shared allocation and appended to each such member's own journal
+    /// with [`Journal::append_shared`] (even when the class
     /// received nothing — sending mutates state, so every executed round
     /// must replay). The caller syncs.
     ///
@@ -510,10 +512,12 @@ impl<M: Message> DeliveryPlan<M> {
             for cast in self.delivered(casts, k) {
                 stage(records, k, cast.src, cast.tok, &cast.msg);
             }
-            let record = records.record(r, k);
+            let record: Arc<[u8]> = Arc::from(records.record(r, k));
             for pid in members.iter().filter(|pid| live(**pid)) {
                 if let Some(journal) = journals.get_mut(pid) {
-                    journal.append(record).expect("journal append failed");
+                    journal
+                        .append_shared(&record)
+                        .expect("journal append failed");
                 }
             }
         }

@@ -49,6 +49,9 @@ impl Topology {
     }
 
     /// Whether `from` can deliver to `to`.
+    // Inlinable across crates: the route pass asks once per (cast,
+    // recipient) pair, n² times a tick.
+    #[inline]
     pub fn connected(&self, from: Pid, to: Pid) -> bool {
         if from == to {
             return true;
