@@ -1,10 +1,10 @@
 //! Offline stand-in for `crossbeam-channel` (0.5 API subset), backed by
 //! `std::sync::mpsc`.
 //!
-//! Implements the surface the runtime crate uses: [`bounded`] /
-//! [`unbounded`] constructors, a cloneable [`Sender`], and blocking
-//! [`Receiver::recv`]. (`select!` and cloneable receivers are not
-//! provided.)
+//! Implements the surface `homonym_core::exec::Pool` uses to collect task
+//! results: the [`unbounded`] constructor, a cloneable [`Sender`], and
+//! non-blocking [`Receiver::try_recv`]. (`bounded`, blocking receives,
+//! `select!` and cloneable receivers are not provided.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,16 +30,6 @@ impl<T> fmt::Display for SendError<T> {
     }
 }
 
-/// Error returned by [`Receiver::recv`] when all senders are gone.
-#[derive(Debug, PartialEq, Eq, Clone, Copy)]
-pub struct RecvError;
-
-impl fmt::Display for RecvError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "receiving on an empty and disconnected channel")
-    }
-}
-
 /// Error returned by [`Receiver::try_recv`].
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
 pub enum TryRecvError {
@@ -49,22 +39,8 @@ pub enum TryRecvError {
     Disconnected,
 }
 
-enum Tx<T> {
-    Bounded(mpsc::SyncSender<T>),
-    Unbounded(mpsc::Sender<T>),
-}
-
-impl<T> Clone for Tx<T> {
-    fn clone(&self) -> Self {
-        match self {
-            Tx::Bounded(tx) => Tx::Bounded(tx.clone()),
-            Tx::Unbounded(tx) => Tx::Unbounded(tx.clone()),
-        }
-    }
-}
-
 /// The sending half of a channel. Cloneable, like crossbeam's.
-pub struct Sender<T>(Tx<T>);
+pub struct Sender<T>(mpsc::Sender<T>);
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
@@ -73,13 +49,9 @@ impl<T> Clone for Sender<T> {
 }
 
 impl<T> Sender<T> {
-    /// Sends `msg`, blocking while a bounded channel is full. Fails only
-    /// when the receiver has been dropped.
+    /// Sends `msg`. Fails only when the receiver has been dropped.
     pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-        match &self.0 {
-            Tx::Bounded(tx) => tx.send(msg).map_err(|mpsc::SendError(m)| SendError(m)),
-            Tx::Unbounded(tx) => tx.send(msg).map_err(|mpsc::SendError(m)| SendError(m)),
-        }
+        self.0.send(msg).map_err(|mpsc::SendError(m)| SendError(m))
     }
 }
 
@@ -87,12 +59,6 @@ impl<T> Sender<T> {
 pub struct Receiver<T>(mpsc::Receiver<T>);
 
 impl<T> Receiver<T> {
-    /// Blocks until a message arrives, or fails once every sender is
-    /// dropped and the buffer is drained.
-    pub fn recv(&self) -> Result<T, RecvError> {
-        self.0.recv().map_err(|mpsc::RecvError| RecvError)
-    }
-
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         self.0.try_recv().map_err(|e| match e {
@@ -100,25 +66,12 @@ impl<T> Receiver<T> {
             mpsc::TryRecvError::Disconnected => TryRecvError::Disconnected,
         })
     }
-
-    /// A blocking iterator over received messages, ending when the
-    /// channel disconnects.
-    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-        self.0.iter()
-    }
-}
-
-/// Creates a channel holding at most `cap` in-flight messages
-/// (`cap = 0` is a rendezvous channel, as in crossbeam).
-pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-    let (tx, rx) = mpsc::sync_channel(cap);
-    (Sender(Tx::Bounded(tx)), Receiver(rx))
 }
 
 /// Creates a channel with an unbounded buffer.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     let (tx, rx) = mpsc::channel();
-    (Sender(Tx::Unbounded(tx)), Receiver(rx))
+    (Sender(tx), Receiver(rx))
 }
 
 #[cfg(test)]
@@ -127,19 +80,20 @@ mod tests {
     use std::thread;
 
     #[test]
-    fn bounded_round_trip_across_threads() {
-        let (tx, rx) = bounded::<u32>(2);
+    fn round_trip_across_threads() {
+        let (tx, rx) = unbounded::<u32>();
         let tx2 = tx.clone();
         let h = thread::spawn(move || {
             for i in 0..10 {
                 tx2.send(i).unwrap();
             }
         });
-        let got: Vec<u32> = (0..10).map(|_| rx.recv().unwrap()).collect();
         h.join().unwrap();
+        let got: Vec<u32> = (0..10).map(|_| rx.try_recv().unwrap()).collect();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         drop(tx);
-        assert_eq!(rx.recv(), Err(RecvError));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`Pool::scoped`] call after that only sends boxed jobs down per-worker
 //! channels and waits on a completion latch — no thread spawn/join per
 //! call. This is the amortization the `homonym_core::exec::Pool` executor
-//! rides: the sharded engines scatter one batch of shard ticks per global
+//! rides: the sharded engine scatters one batch of shard ticks per global
 //! round, and with scoped threads (the previous implementation) every
 //! round paid thread creation; here the threads persist for the life of
 //! the pool.

@@ -1,12 +1,13 @@
-//! The tick executor: the cross-engine seam that fans independent
-//! per-shard work out across cores.
+//! The tick executor: the seam that fans independent per-shard and
+//! per-chunk work out across cores.
 //!
-//! Both sharded engines (`homonym_sim::shards::ShardedSimulation` and
-//! `homonym_runtime::ShardedCluster`) advance K independent agreement
-//! instances one round per global tick, and within a tick the shards are
-//! embarrassingly parallel: each owns its cast list and routing plan and
-//! never reads another shard's state. An [`Executor`] abstracts *how* that per-tick batch of
-//! shard steps runs:
+//! The sharded engine (`homonym_sim::shards::ShardedSimulation`) advances
+//! K independent agreement instances one round per global tick, and
+//! within a tick the shards are embarrassingly parallel: each owns its
+//! cast list and routing plan and never reads another shard's state. The
+//! solo `Simulation` splits one instance's send and receive phases into
+//! disjoint pid chunks the same way. An [`Executor`] abstracts *how* such
+//! a batch of independent steps runs:
 //!
 //! * [`Sequential`] — in task order on the calling thread (the original
 //!   single-threaded schedule, and the default);
@@ -85,7 +86,7 @@ pub trait Executor {
 }
 
 /// The single-threaded executor: tasks run in order on the calling
-/// thread. This is the default for both sharded engines and the
+/// thread. This is the default for both lock-step engines and the
 /// behavioural reference for every other executor.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Sequential;
@@ -114,7 +115,7 @@ impl Executor for Sequential {
 /// so output is byte-identical to [`Sequential`].
 ///
 /// Earlier versions spawned fresh scoped threads per `scatter`; the
-/// sharded engines scatter once per global tick, so that paid thread
+/// lock-step engines scatter every round, so that paid thread
 /// creation every round. The persistent pool amortizes the spawn to once
 /// per `Pool`.
 ///

@@ -6,7 +6,7 @@
 //! deliveries of O(n) *distinct* payloads — and, because a correct process
 //! cannot address one process, almost every recipient of a round receives
 //! the *same set* of them. The fabric keeps each payload behind one
-//! [`Arc`]: simulators and runtimes wrap an emission exactly once, traces
+//! [`Arc`]: every engine wraps an emission exactly once, traces
 //! retain handles instead of copies, and
 //! [`Inbox::collect_shared`](crate::Inbox::collect_shared) builds inboxes
 //! without ever invoking the payload's `Clone`.
@@ -20,8 +20,8 @@
 //!   per class, shared by its members. What they take from this module is
 //!   [`SharedEnvelope`] — the unit `collect_shared` consumes — and the
 //!   [`FrameInterner`] that stamps one token per distinct payload.
-//! * The **per-actor and virtual-time engines** (`Cluster`, the delay
-//!   driver) deliver one envelope at a time, whenever it arrives, into
+//! * The **virtual-time engine** (`DelayCluster`, the delay driver)
+//!   delivers one envelope at a time, whenever it arrives, into
 //!   [`Deliveries`]: buckets keyed by dense [`Pid`] index (a `Vec`, not a
 //!   `BTreeMap`) that an engine keeps across rounds and `clear()`s instead
 //!   of reallocating. This per-delivery plane is also the reference the

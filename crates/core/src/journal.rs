@@ -626,9 +626,9 @@ pub fn encode_deliveries_entry<M: WireEncode>(
 ///
 /// Records are built in numbered *slots*. A record does not name its
 /// recipient, so what a slot stands for is the caller's choice: the
-/// per-actor engines use one slot per recipient, the lock-step engines one
-/// per delivery class (recipients that received the same frames), whose
-/// record they append to every member's journal.
+/// delay engine (`DelayCluster`) uses one slot per recipient, the
+/// lock-step engines one per delivery class (recipients that received the
+/// same frames), whose record they append to every member's journal.
 ///
 /// Per round: [`begin`](DeliveryRecords::begin), one
 /// [`stage`](DeliveryRecords::stage) per delivered envelope in delivery

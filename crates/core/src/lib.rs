@@ -17,10 +17,11 @@
 //! * [`Inbox`] — per-round received messages, as a multiset (numerate view)
 //!   or a set (innumerate view),
 //! * [`fabric`] — the `Arc`-shared delivery fabric every execution backend
-//!   (lock-step simulator, threaded runtime, delay network) routes through,
+//!   (lock-step simulator, sharded simulator, delay network) routes
+//!   through,
 //! * [`exec`] — the tick executor seam ([`Sequential`] and the
-//!   persistent thread-[`Pool`]) the sharded engines fan per-shard work
-//!   out with,
+//!   persistent thread-[`Pool`]) the lock-step engines fan their work out
+//!   with,
 //! * [`intern`] — the payload [`Interner`] and identifier bitset
 //!   ([`IdBits`]) the hot protocol paths key their evidence tables with,
 //! * [`journal`] — durable journals (in-memory and file-backed WAL

@@ -14,8 +14,8 @@ use crate::id::Id;
 /// `Send + Sync + 'static` type. Ordering gives inboxes a canonical
 /// iteration order, which keeps every execution deterministic; `Sync` lets
 /// the delivery fabric share one `Arc`-wrapped payload across every
-/// recipient (and across runtime threads) instead of deep-cloning it per
-/// delivery.
+/// recipient (and across executor worker threads) instead of deep-cloning
+/// it per delivery.
 pub trait Message: Clone + Ord + Eq + fmt::Debug + Send + Sync + 'static {}
 
 impl<T: Clone + Ord + Eq + fmt::Debug + Send + Sync + 'static> Message for T {}

@@ -138,8 +138,8 @@ pub trait Protocol {
     fn send(&mut self, round: Round) -> Vec<(Recipients, Self::Msg)>;
 
     /// Produces this round's outgoing messages as shared handles — the
-    /// entry point every execution backend (simulator, threaded runtime,
-    /// delay driver, sharded engines) actually calls.
+    /// entry point every execution backend (simulator, sharded simulator,
+    /// delay driver) actually calls.
     ///
     /// The default wraps [`send`](Protocol::send)'s messages in fresh
     /// [`Arc`]s, which is exactly the single wrap per emission the

@@ -22,7 +22,7 @@
 //! Schedules describe *binary-valued* agreement scenarios (`bool` inputs),
 //! which is the domain every fuzzed protocol family in this workspace
 //! shares. The event vocabulary is engine-agnostic: the lock-step
-//! [`Simulation`], the sharded engines, and any future event-driven
+//! [`Simulation`], the sharded engine, and any future event-driven
 //! backend replay the same corpus.
 //!
 //! [`Simulation`]: https://docs.rs/homonym-sim
@@ -413,12 +413,12 @@ pub enum ScheduleEvent {
         /// Undirected edges removed from the complete graph.
         cut: BTreeSet<(Pid, Pid)>,
     },
-    /// The sharded engines abort shard `shard`'s live shot.
+    /// The sharded engine aborts shard `shard`'s live shot.
     ShardAbort {
         /// Target shard index.
         shard: u32,
     },
-    /// The sharded engines enqueue a fresh shot on shard `shard`.
+    /// The sharded engine enqueues a fresh shot on shard `shard`.
     ShardEnqueue {
         /// Target shard index.
         shard: u32,

@@ -1,5 +1,5 @@
-//! The lock-step tick every engine shares: casts, routes, delivery
-//! classes.
+//! The lock-step tick both lock-step engines ([`Simulation`] and
+//! [`ShardedSimulation`]) share: casts, routes, delivery classes.
 //!
 //! A correct process cannot address one process, only "everyone" or
 //! "every holder of identifier i", so in a round almost every recipient
@@ -38,12 +38,16 @@
 //!   (= pid) order afterwards.
 //!
 //! The per-delivery plane ([`homonym_core::Deliveries`]) is what the
-//! per-actor and virtual-time engines still use, and what
-//! `tests/fabric_equivalence.rs` holds this pipeline to: equal inboxes,
-//! tallies, drop-policy query order and journal bytes, per recipient.
+//! virtual-time engine (`homonym_delay::DelayCluster`) still uses, and
+//! what `tests/fabric_equivalence.rs` holds this pipeline to: equal
+//! inboxes, tallies, drop-policy query order and journal bytes, per
+//! recipient.
 //!
 //! The helpers take an optional [`ShardId`] label so the solo engine and
-//! the sharded engines keep their exact historical panic messages.
+//! the sharded engine keep their exact historical panic messages.
+//!
+//! [`Simulation`]: crate::Simulation
+//! [`ShardedSimulation`]: crate::ShardedSimulation
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -167,31 +171,6 @@ pub fn send_chunk<P: Protocol>(
     for (pid, proc_) in chunk.iter_mut() {
         let out = proc_.send_shared(r);
         push_emissions(*pid, out, r, assignment, &measure, shard, scratch);
-    }
-}
-
-/// The send phase of one pid chunk when the emissions were already
-/// collected elsewhere (the threaded cluster's actors): turns each
-/// process's pre-collected sends into the chunk's cast buffer.
-pub fn cast_sends<M>(
-    chunk: &mut [(Pid, Vec<(Recipients, Arc<M>)>)],
-    r: Round,
-    assignment: &IdAssignment,
-    measure: impl Fn(&M) -> u64,
-    shard: Option<ShardId>,
-    scratch: &mut SendScratch<M>,
-) {
-    scratch.casts.clear();
-    for (pid, out) in chunk.iter_mut() {
-        push_emissions(
-            *pid,
-            std::mem::take(out),
-            r,
-            assignment,
-            &measure,
-            shard,
-            scratch,
-        );
     }
 }
 

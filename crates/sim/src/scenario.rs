@@ -469,7 +469,7 @@ fn topology_minus(n: usize, cut: &BTreeSet<(Pid, Pid)>) -> Topology {
 /// Replays a scenario against the lock-step engine.
 ///
 /// Events fire at the *start* of their round, in schedule order. Shard
-/// events are no-ops here (they target the sharded engines — see
+/// events are no-ops here (they target the sharded engine — see
 /// [`schedule_churn_plan`]). A rejected invariant-breaking event stops
 /// the run immediately with [`ScenarioVerdict::Breach`].
 pub fn run_scenario<P, F>(scenario: &Scenario, factory: &F) -> ScenarioReport
@@ -714,7 +714,7 @@ pub fn scenario_dot(scenario: &Scenario, report: &ScenarioReport) -> String {
 }
 
 /// Compiles a schedule's shard events into a [`ChurnPlan`] for the
-/// sharded engines, one churn op per event at the event's round (global
+/// sharded engine, one churn op per event at the event's round (global
 /// tick). `make_shot` builds the enqueued shots from the event's shard
 /// index and inputs.
 pub fn schedule_churn_plan<P, F>(schedule: &Schedule, mut make_shot: F) -> ChurnPlan<P>

@@ -25,8 +25,8 @@
 //! Interleaving is unobservable: each shard's per-shot decisions, message
 //! counts and traces are byte-identical to running that shot alone in a
 //! fresh [`Simulation`](crate::Simulation) (`tests/shard_isolation.rs`
-//! property-tests this; `tests/shard_runtime_parity.rs` pins the threaded
-//! backend to the same schedule).
+//! property-tests this on random EIG shard sets and pins it on fixed
+//! Figure 1 and Figure 5 shards).
 //!
 //! Ticks run on an [`Executor`]: shards share no per-tick state, so each
 //! global tick can fan the live shards out across worker threads
@@ -314,21 +314,18 @@ pub fn wire_bits<M: WireEncode>(msg: &M) -> u64 {
     codec::frame_bits(msg)
 }
 
-/// The engine-agnostic bookkeeping of one shard: its configuration, its
-/// shot queue, the live shot's fault environment and counters, and the
-/// per-shot report roll-up.
+/// The bookkeeping of one shard: its configuration, its shot queue, the
+/// live shot's fault environment and counters, and the per-shot report
+/// roll-up.
 ///
-/// Both sharded engines — the lock-step [`ShardedSimulation`] here and
-/// the threaded `homonym_runtime::ShardedCluster` — embed one
-/// `ShardCore` per shard and drive it through the same lifecycle
+/// [`ShardedSimulation`] embeds one `ShardCore` per shard beside the
+/// shard's automata and drives it through the shot lifecycle
 /// ([`start_next_shot`](ShardCore::start_next_shot),
 /// [`record_decision`](ShardCore::record_decision),
 /// [`roll_over_if_done`](ShardCore::roll_over_if_done),
-/// [`report`](ShardCore::report)), so shot validation, restarts, and
-/// accounting cannot drift between engines. What differs per engine is
-/// only where the spawned automata live: the simulator holds them
-/// directly, the cluster ships them to actor threads.
-pub struct ShardCore<P: Protocol> {
+/// [`report`](ShardCore::report)); the core never holds automata, it
+/// hands spawned ones back for the engine to place.
+pub(crate) struct ShardCore<P: Protocol> {
     /// The `(n, ℓ, t)` parameters and model axes of every shot.
     pub cfg: SystemConfig,
     /// Which process holds which identifier.
@@ -536,20 +533,6 @@ impl<P: Protocol> ShardCore<P> {
         self.decisions.len() + self.amnesiac.len() == self.correct.len()
     }
 
-    /// The processes currently executing rounds: the correct set
-    /// (including amnesiac rejoiners) minus the currently crashed.
-    pub fn live(&self) -> impl Iterator<Item = Pid> + '_ {
-        self.correct
-            .iter()
-            .copied()
-            .filter(move |p| !self.crashed.contains(p))
-    }
-
-    /// The number of processes currently executing rounds.
-    pub fn live_len(&self) -> usize {
-        self.correct.len() - self.crashed.len()
-    }
-
     /// Records one round's total [`Protocol::state_bits`] across the
     /// shot's correct processes — engines call this after delivery, from
     /// wherever their automata live.
@@ -687,13 +670,9 @@ impl<P: Protocol> ShardCore<P> {
     /// (one record per delivery class) if the shard is durable, and
     /// builds the class inboxes the receive phase and
     /// [`deliver_byz`](ShardCore::deliver_byz) read from `plan`. `record`
-    /// sees every *attempted* delivery in routing order (the trace hook;
-    /// untraced engines pass a no-op).
-    ///
-    /// Both sharded engines — the lock-step simulator and the threaded
-    /// cluster — call this between their send and receive scatters, so
-    /// the adversary contract assert, the restricted clamp, and the
-    /// counter accounting exist in exactly one place and cannot drift.
+    /// sees every *attempted* delivery in routing order (the trace hook).
+    /// [`ShardedSimulation::step`] calls this between its send and
+    /// receive scatters.
     ///
     /// # Panics
     ///
@@ -868,11 +847,10 @@ pub enum ChurnOp<P: Protocol> {
 /// A tick-indexed script of shard churn: which shards abort, restart, or
 /// receive fresh shots, and when.
 ///
-/// Plans are consumed by [`ShardedSimulation::run_churned`] and the
-/// threaded cluster's churn loop: at the start of each global tick every
-/// operation due at (or before) that tick is applied, in insertion
-/// order. The plan is plain data — scenario schedules compile their
-/// shard events down to one.
+/// Plans are consumed by [`ShardedSimulation::run_churned`]: at the
+/// start of each global tick every operation due at (or before) that
+/// tick is applied, in insertion order. The plan is plain data —
+/// scenario schedules compile their shard events down to one.
 pub struct ChurnPlan<P: Protocol> {
     ops: BTreeMap<u64, Vec<ChurnOp<P>>>,
 }

@@ -13,7 +13,6 @@
 //! | [`sync`] | `homonym-sync` | the synchronous T(A) transformer (Fig. 3) |
 //! | [`psync`] | `homonym-psync` | partially synchronous protocols (Figs. 5–7) |
 //! | [`sim`] | `homonym-sim` | deterministic simulator, adversaries, harness |
-//! | [`runtime`] | `homonym-runtime` | threaded actor runtime |
 //! | [`delay`] | `homonym-delay` | delay-based partial synchrony (DLS model equivalence) |
 //! | [`lower_bounds`] | `homonym-lowerbounds` | executable impossibility scenarios |
 //!
@@ -36,7 +35,6 @@ pub use homonym_core as core;
 pub use homonym_delay as delay;
 pub use homonym_lowerbounds as lower_bounds;
 pub use homonym_psync as psync;
-pub use homonym_runtime as runtime;
 pub use homonym_sim as sim;
 pub use homonym_sync as sync;
 
@@ -64,7 +62,6 @@ pub mod prelude {
     pub use homonym_psync::{
         AgreementFactory, HomonymAgreement, RestrictedAgreement, RestrictedFactory,
     };
-    pub use homonym_runtime::{Cluster, ShardedCluster};
     pub use homonym_sim::{
         RandomUntilGst, RunReport, ShardId, ShardReport, ShardSpec, ShardedSimulation, ShotSpec,
         Simulation,

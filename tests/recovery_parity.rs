@@ -3,8 +3,8 @@
 //! is **unobservable** — decisions (value AND round), message counters,
 //! and verdicts are identical to the uninterrupted run, for every
 //! protocol family, under both the [`Sequential`] and [`Pool`] executors,
-//! in the lock-step simulator, the sharded engines, the threaded cluster,
-//! and on [`HeightChain`] multi-height ledgers.
+//! in the lock-step simulator, the sharded simulator, and on
+//! [`HeightChain`] multi-height ledgers.
 //!
 //! Also covered: amnesiac rejoins share the `|faulty| ≤ t` budget with
 //! Byzantine processes (over budget → typed rejection), and injected
@@ -22,7 +22,6 @@ use homonyms::core::{
     RecoveryMode, Round, Synchrony, SystemConfig, WireDecode, WireEncode,
 };
 use homonyms::psync::{AgreementFactory, BoundedAgreementFactory};
-use homonyms::runtime::{Cluster, ShardedCluster};
 use homonyms::sim::adversary::Silent;
 use homonyms::sim::{
     ChurnError, ChurnOp, ChurnPlan, RandomUntilGst, ShardSpec, ShardedSimulation, ShotSpec,
@@ -425,9 +424,8 @@ fn amnesiac_rejoin_shares_fault_budget_with_byzantine() {
     );
 }
 
-/// Zero-gap crash/recover parity across the sharded engines: the churned
-/// sharded simulator, the churned sharded cluster, and the untouched
-/// golden run all report identical shots.
+/// Zero-gap crash/recover parity in the sharded engine: the churned
+/// sharded simulator and the untouched golden run report identical shots.
 #[test]
 fn sharded_zero_gap_recovery_parity() {
     let cfg = sync_cfg(4, 4, 1);
@@ -467,52 +465,19 @@ fn sharded_zero_gap_recovery_parity() {
     churned.add_shard(spec(), eig_factory(4, 1));
     let churned = churned.run_churned(plan(), 8 * horizon);
 
-    let cluster = {
-        let mut c = ShardedCluster::new().churn(plan());
-        c.add_shard(spec(), eig_factory(4, 1));
-        c.run(8 * horizon)
-    };
-
-    for reports in [&churned, &cluster] {
-        assert_eq!(golden.len(), reports.len());
-        for (a, b) in golden.iter().zip(reports.iter()) {
-            assert_eq!(a.shots.len(), b.shots.len());
-            for (x, y) in a.shots.iter().zip(&b.shots) {
-                assert_eq!(
-                    x.report.outcome.decisions, y.report.outcome.decisions,
-                    "decisions diverge at {} shot {}",
-                    a.shard, x.shot
-                );
-                assert_eq!(x.report.messages_sent, y.report.messages_sent);
-                assert_eq!(x.report.all_decided_round, y.report.all_decided_round);
-            }
+    assert_eq!(golden.len(), churned.len());
+    for (a, b) in golden.iter().zip(&churned) {
+        assert_eq!(a.shots.len(), b.shots.len());
+        for (x, y) in a.shots.iter().zip(&b.shots) {
+            assert_eq!(
+                x.report.outcome.decisions, y.report.outcome.decisions,
+                "decisions diverge at {} shot {}",
+                a.shard, x.shot
+            );
+            assert_eq!(x.report.messages_sent, y.report.messages_sent);
+            assert_eq!(x.report.all_decided_round, y.report.all_decided_round);
         }
     }
-}
-
-/// Zero-gap crash/recover parity in the threaded single-shot cluster:
-/// byte-identical to the lock-step simulator's golden run.
-#[test]
-fn threaded_cluster_zero_gap_recovery_parity() {
-    let factory = eig_factory(4, 1);
-    let cfg = sync_cfg(4, 4, 1);
-    let inputs = vec![true, false, true, false];
-
-    let mut sim = Simulation::builder(cfg, IdAssignment::unique(4), inputs.clone())
-        .byzantine([Pid::new(3)], Silent)
-        .build_with(&factory);
-    let golden = sim.run(12);
-
-    let threaded = Cluster::new(cfg, IdAssignment::unique(4), inputs)
-        .byzantine([Pid::new(3)], Silent)
-        .crash_at(2, Pid::new(1))
-        .recover_at(2, Pid::new(1), RecoveryMode::Durable)
-        .run(&factory, 12);
-
-    assert_eq!(golden.outcome.decisions, threaded.outcome.decisions);
-    assert_eq!(golden.rounds, threaded.rounds);
-    assert_eq!(golden.messages_sent, threaded.messages_sent);
-    assert!(threaded.verdict.all_hold(), "{}", threaded.verdict);
 }
 
 /// A gapped durable recovery (the victim misses rounds while down) still

@@ -1,8 +1,11 @@
 //! Shard isolation: interleaving K agreement instances over one shared
-//! delivery plane is **unobservable**. For random shard counts, sizes,
-//! Byzantine sets, shot queues and inputs, every shard's per-shot
-//! decisions, message counters, and full delivery trace are byte-identical
-//! to running that shot alone in a fresh [`Simulation`].
+//! delivery plane is **unobservable**. Every shard's per-shot decisions,
+//! message counters, and full delivery trace are byte-identical to running
+//! that shot alone in a fresh [`Simulation`] — for random EIG shard sets
+//! (shard counts, sizes, Byzantine sets, shot queues and inputs), and for
+//! fixed shards of the other protocol families: the Figure 1 ring under
+//! its sparse topology, Figure 5 under pre-GST drops with a silent
+//! Byzantine process, and restricted numerate Figure 5 under drops.
 //!
 //! The second half pins the same property for the *executor*: fanning the
 //! tick across a worker pool ([`Pool`]) at any worker count yields
@@ -13,11 +16,18 @@ use std::fmt::Write as _;
 
 use homonyms::classic::{Eig, UniqueRunner};
 use homonyms::core::exec::{Executor, Pool, Sequential};
-use homonyms::core::{Domain, FnFactory, IdAssignment, Pid, ProtocolFactory, SystemConfig};
+use homonyms::core::{
+    ByzPower, Counting, Domain, FnFactory, IdAssignment, Pid, Protocol, ProtocolFactory, Round,
+    Synchrony, SystemConfig, WireEncode,
+};
+use homonyms::lower_bounds::fig1;
+use homonyms::psync::{AgreementFactory, RestrictedFactory};
 use homonyms::sim::adversary::Silent;
 use homonyms::sim::{
-    ShardReport, ShardSpec, ShardedSimulation, ShardedTrace, ShotSpec, Simulation, Trace,
+    RandomUntilGst, ShardId, ShardReport, ShardSpec, ShardedSimulation, ShardedTrace, ShotSpec,
+    Simulation, Trace,
 };
+use homonyms::sync::TransformedFactory;
 use proptest::prelude::*;
 
 /// One random shard: size `n`, an optional Byzantine process, and 1–3
@@ -72,6 +82,109 @@ fn trace_dump<M: homonyms::core::Message>(trace: &Trace<M>) -> String {
 
 const HORIZON: u64 = 12;
 
+/// The shard specs of a random shard set, every shot bounded by
+/// [`HORIZON`].
+fn random_specs(
+    shards: &[RandomShard],
+) -> Vec<(
+    ShardSpec<UniqueRunner<Eig<bool>>>,
+    impl ProtocolFactory<P = UniqueRunner<Eig<bool>>> + Send + 'static,
+)> {
+    shards
+        .iter()
+        .map(|shard| {
+            let mut spec = ShardSpec::new(cfg(shard.n), IdAssignment::unique(shard.n));
+            for inputs in &shard.shots {
+                let mut shot = ShotSpec::new(inputs.clone()).horizon(HORIZON);
+                if let Some(byz) = shard.byz {
+                    shot = shot.byzantine([byz], Silent);
+                }
+                spec = spec.shot(shot);
+            }
+            (spec, eig_factory(shard.n))
+        })
+        .collect()
+}
+
+/// Runs the shard set `specs()` interleaved in one [`ShardedSimulation`],
+/// then replays every shot alone in a fresh [`Simulation`] built from a
+/// second `specs()` call — same configuration, assignment, topology,
+/// inputs, Byzantine set and strategy, drop policy, and the shot's
+/// horizon as the round bound — and asserts the two are observationally
+/// identical: decisions, round and message counters, and the full
+/// delivery trace. Returns the sharded reports.
+fn assert_shots_equal_solo_runs<P, F>(
+    specs: impl Fn() -> Vec<(ShardSpec<P>, F)>,
+    max_ticks: u64,
+) -> Vec<ShardReport<P::Value>>
+where
+    P: Protocol + Send,
+    P::Value: Send,
+    P::Msg: WireEncode,
+    F: ProtocolFactory<P = P> + Send + 'static,
+{
+    // The sharded run: all shards interleaved over one plane.
+    let mut sharded = ShardedSimulation::new().record_trace(true);
+    for (spec, factory) in specs() {
+        sharded.add_shard(spec, factory);
+    }
+    let reports = sharded.run(max_ticks);
+    assert!(sharded.all_idle(), "every queue drains within the budget");
+    let sharded_trace = sharded.trace().unwrap();
+
+    // Each shot, replayed alone in a fresh single-shot simulation, must be
+    // observationally identical.
+    for (s, (spec, factory)) in specs().into_iter().enumerate() {
+        assert_eq!(reports[s].shots.len(), spec.shots.len());
+        for (q, shot) in spec.shots.into_iter().enumerate() {
+            let horizon = shot.horizon.expect("every shot carries a horizon");
+            let mut solo = Simulation::builder(spec.cfg, spec.assignment.clone(), shot.inputs)
+                .topology(spec.topology.clone())
+                .byzantine(shot.byz, shot.adversary)
+                .drops(shot.drops)
+                .record_trace(true)
+                .build_with(&factory);
+            let solo_report = solo.run(horizon);
+
+            let sharded_report = &reports[s].shots[q].report;
+            let label = format!("shard {s} shot {q}");
+            assert_eq!(
+                sharded_report.outcome.decisions, solo_report.outcome.decisions,
+                "decisions diverge at {label}"
+            );
+            assert_eq!(
+                sharded_report.rounds, solo_report.rounds,
+                "rounds at {label}"
+            );
+            assert_eq!(
+                sharded_report.all_decided_round, solo_report.all_decided_round,
+                "decision round at {label}"
+            );
+            assert_eq!(
+                sharded_report.messages_sent, solo_report.messages_sent,
+                "sent at {label}"
+            );
+            assert_eq!(
+                sharded_report.messages_delivered, solo_report.messages_delivered,
+                "delivered at {label}"
+            );
+            assert_eq!(
+                sharded_report.messages_dropped, solo_report.messages_dropped,
+                "dropped at {label}"
+            );
+
+            // Byte-identical traces: the extracted shard/shot slice of the
+            // interleaved trace equals the solo trace.
+            assert_eq!(
+                trace_dump(&sharded_trace.shard_shot_trace(ShardId::new(s), q)),
+                trace_dump(solo.trace().unwrap()),
+                "trace diverges at {label}"
+            );
+        }
+    }
+    reports
+}
+
 /// Builds the sharded scheduler for a shard set on the given executor
 /// (trace and wire-bit accounting on, so the comparison covers both).
 fn build_sharded<E: Executor>(
@@ -81,16 +194,8 @@ fn build_sharded<E: Executor>(
     let mut sharded = ShardedSimulation::with_executor(exec)
         .record_trace(true)
         .measure_bits(true);
-    for shard in shards {
-        let mut spec = ShardSpec::new(cfg(shard.n), IdAssignment::unique(shard.n));
-        for inputs in &shard.shots {
-            let mut shot = ShotSpec::new(inputs.clone()).horizon(HORIZON);
-            if let Some(byz) = shard.byz {
-                shot = shot.byzantine([byz], Silent);
-            }
-            spec = spec.shot(shot);
-        }
-        sharded.add_shard(spec, eig_factory(shard.n));
+    for (spec, factory) in random_specs(shards) {
+        sharded.add_shard(spec, factory);
     }
     sharded
 }
@@ -157,87 +262,104 @@ proptest! {
 
     #[test]
     fn sharded_shots_equal_solo_runs(shards in proptest::collection::vec(shard_strategy(), 1..=4)) {
-        // The sharded run: all shards interleaved over one plane.
-        let mut sharded = ShardedSimulation::new().record_trace(true);
-        for shard in &shards {
-            let mut spec = ShardSpec::new(cfg(shard.n), IdAssignment::unique(shard.n));
-            for inputs in &shard.shots {
-                let mut shot = ShotSpec::new(inputs.clone()).horizon(HORIZON);
-                if let Some(byz) = shard.byz {
-                    shot = shot.byzantine([byz], Silent);
-                }
-                spec = spec.shot(shot);
-            }
-            sharded.add_shard(spec, eig_factory(shard.n));
-        }
-        let reports = sharded.run(64 * HORIZON);
-        prop_assert!(sharded.all_idle(), "every queue drains within the budget");
-        let sharded_trace = sharded.trace().unwrap();
+        assert_shots_equal_solo_runs(|| random_specs(&shards), 64 * HORIZON);
+    }
+}
 
-        // Each shot, replayed alone in a fresh single-shot simulation,
-        // must be observationally identical.
-        for (s, shard) in shards.iter().enumerate() {
-            prop_assert_eq!(reports[s].shots.len(), shard.shots.len());
-            for (q, inputs) in shard.shots.iter().enumerate() {
-                let factory = eig_factory(shard.n);
-                let mut builder = Simulation::builder(
-                    cfg(shard.n),
-                    IdAssignment::unique(shard.n),
-                    inputs.clone(),
+/// The Figure 1 ring (the `fabric_golden` scenario): a sparse topology
+/// where agreement is *violated* — the sharded engine violates it exactly
+/// as a solo run does, and the same way in both shots.
+#[test]
+fn fig1_ring_shots_equal_solo_runs() {
+    let sys = fig1::build(4, 1);
+    let factory = || TransformedFactory::new(Eig::new_unchecked(3, 1, Domain::binary()), 1);
+    let horizon = factory().round_bound() + 9;
+    let cfg = SystemConfig::builder(sys.assignment.n(), 3, 0)
+        .build()
+        .expect("ring configuration is valid");
+    let specs = || {
+        vec![(
+            ShardSpec::new(cfg, sys.assignment.clone())
+                .topology(sys.topology.clone())
+                .shot(ShotSpec::new(sys.inputs.clone()).horizon(horizon))
+                .shot(ShotSpec::new(sys.inputs.clone()).horizon(horizon)),
+            factory(),
+        )]
+    };
+    let reports = assert_shots_equal_solo_runs(specs, 4 * horizon);
+    let shots = &reports[0].shots;
+    assert_eq!(
+        shots[0].report.outcome.decisions,
+        shots[1].report.outcome.decisions
+    );
+}
+
+/// Figure 5 under pre-GST random drops, with a silent Byzantine process
+/// in the first shot: two shards of two shots, every shot decides and
+/// satisfies BA.
+#[test]
+fn psync_agreement_with_drops_shots_equal_solo_runs() {
+    let cfg = SystemConfig::builder(4, 4, 1)
+        .synchrony(Synchrony::PartiallySynchronous)
+        .build()
+        .unwrap();
+    let factory = || AgreementFactory::new(4, 4, 1, Domain::binary());
+    let horizon = 8 + factory().round_bound() + 24;
+    let specs = || {
+        (0..2u64)
+            .map(|s| {
+                let spec = ShardSpec::new(cfg, IdAssignment::unique(4))
+                    .shot(
+                        ShotSpec::new(vec![false, true, true, false])
+                            .byzantine([Pid::new(2)], Silent)
+                            .drops(RandomUntilGst::new(Round::new(8), 0.3, 5 + s))
+                            .horizon(horizon),
+                    )
+                    .shot(
+                        ShotSpec::new(vec![true, true, false, false])
+                            .drops(RandomUntilGst::new(Round::new(4), 0.2, 11 + s))
+                            .horizon(horizon),
+                    );
+                (spec, factory())
+            })
+            .collect()
+    };
+    let reports = assert_shots_equal_solo_runs(specs, 8 * horizon);
+    assert!(reports.iter().all(|r| r.decided_shots() == 2));
+    for shot in reports.iter().flat_map(|r| &r.shots) {
+        assert!(shot.report.verdict.all_hold(), "{}", shot.report.verdict);
+    }
+}
+
+/// Restricted numerate Figure 5 (ℓ = 2 shared identifiers) under pre-GST
+/// drops: one shard of two shots, both decide and satisfy BA.
+#[test]
+fn restricted_agreement_shots_equal_solo_runs() {
+    let cfg = SystemConfig::builder(4, 2, 1)
+        .synchrony(Synchrony::PartiallySynchronous)
+        .counting(Counting::Numerate)
+        .byz_power(ByzPower::Restricted)
+        .build()
+        .unwrap();
+    let factory = || RestrictedFactory::new(4, 2, 1, Domain::binary());
+    let horizon = 6 + factory().round_bound() + 24;
+    let specs = || {
+        vec![(
+            ShardSpec::new(cfg, IdAssignment::round_robin(2, 4).unwrap())
+                .shot(
+                    ShotSpec::new(vec![true, true, false, true])
+                        .byzantine([Pid::new(3)], Silent)
+                        .drops(RandomUntilGst::new(Round::new(6), 0.3, 5))
+                        .horizon(horizon),
                 )
-                .record_trace(true);
-                if let Some(byz) = shard.byz {
-                    builder = builder.byzantine([byz], Silent);
-                }
-                let mut solo = builder.build_with(&factory);
-                let solo_report = solo.run(HORIZON);
-
-                let shot = &reports[s].shots[q];
-                let label = format!("shard {s} shot {q}");
-                prop_assert_eq!(
-                    format!("{:?}", &shot.report.outcome.decisions),
-                    format!("{:?}", &solo_report.outcome.decisions),
-                    "decisions diverge at {}",
-                    &label
-                );
-                prop_assert_eq!(shot.report.rounds, solo_report.rounds, "rounds at {}", &label);
-                prop_assert_eq!(
-                    shot.report.all_decided_round,
-                    solo_report.all_decided_round,
-                    "decision round at {}",
-                    &label
-                );
-                prop_assert_eq!(
-                    shot.report.messages_sent,
-                    solo_report.messages_sent,
-                    "sent at {}",
-                    &label
-                );
-                prop_assert_eq!(
-                    shot.report.messages_delivered,
-                    solo_report.messages_delivered,
-                    "delivered at {}",
-                    &label
-                );
-                prop_assert_eq!(
-                    shot.report.messages_dropped,
-                    solo_report.messages_dropped,
-                    "dropped at {}",
-                    &label
-                );
-
-                // Byte-identical traces: the extracted shard/shot slice of
-                // the interleaved trace equals the solo trace.
-                let extracted =
-                    sharded_trace.shard_shot_trace(homonyms::sim::ShardId::new(s), q);
-                prop_assert_eq!(
-                    trace_dump(&extracted),
-                    trace_dump(solo.trace().unwrap()),
-                    "trace diverges at {}",
-                    &label
-                );
-            }
-        }
+                .shot(ShotSpec::new(vec![false, true, false, true]).horizon(horizon)),
+            factory(),
+        )]
+    };
+    let reports = assert_shots_equal_solo_runs(specs, 8 * horizon);
+    assert_eq!(reports[0].decided_shots(), 2);
+    for shot in &reports[0].shots {
+        assert!(shot.report.verdict.all_hold(), "{}", shot.report.verdict);
     }
 }
 

@@ -33,10 +33,11 @@ fn synchronous_agreement_via_prelude_only() {
     );
 }
 
-/// The same configuration through the threaded runtime re-export: the
-/// cluster must reach the identical decision set as the simulator.
+/// The same configuration through the sharded engine's re-exports: one
+/// shard running one shot must reach the identical decision set as the
+/// simulator.
 #[test]
-fn threaded_cluster_matches_simulator_via_prelude() {
+fn sharded_simulation_matches_simulator_via_prelude() {
     let cfg = SystemConfig::builder(4, 4, 1).build().unwrap();
     let inputs = vec![true, true, false, true];
 
@@ -45,8 +46,14 @@ fn threaded_cluster_matches_simulator_via_prelude() {
         Simulation::builder(cfg, IdAssignment::unique(4), inputs.clone()).build_with(&factory);
     let simulated = sim.run(50);
 
-    let threaded = Cluster::new(cfg, IdAssignment::unique(4), inputs).run(&factory, 50);
+    let mut sharded = ShardedSimulation::new();
+    sharded.add_shard(
+        ShardSpec::new(cfg, IdAssignment::unique(4)).shot(ShotSpec::new(inputs).horizon(50)),
+        factory,
+    );
+    let reports: Vec<ShardReport<bool>> = sharded.run(50);
+    let shot = &reports[0].shots[0].report;
 
-    assert!(threaded.verdict.all_hold());
-    assert_eq!(threaded.outcome.decisions, simulated.outcome.decisions);
+    assert!(shot.verdict.all_hold());
+    assert_eq!(shot.outcome.decisions, simulated.outcome.decisions);
 }
