@@ -249,7 +249,7 @@ pub mod collection {
         }
     }
 
-    /// `Vec` strategy; see [`vec`].
+    /// `Vec` strategy; see [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -189,7 +189,7 @@ impl IdBits {
     }
 
     /// Inserts `index`; returns whether it was newly set.
-    // Inlinable across crates: the route pass sets one bit per delivered
+    // Inlinable across crates: the route walk sets one bit per delivered
     // (cast, recipient) pair.
     #[inline]
     pub fn insert(&mut self, index: usize) -> bool {
@@ -229,6 +229,20 @@ impl IdBits {
     pub fn clear(&mut self) {
         self.words.fill(0);
         self.count = 0;
+    }
+
+    /// Makes the set exactly `0..n`, every other index cleared, word by
+    /// word — the route pass's row for a broadcast that reached everyone.
+    pub fn fill(&mut self, n: usize) {
+        let width = self.words.len().max(n.div_ceil(64));
+        self.words.resize(width, 0);
+        let (full, rest) = self.words.split_at_mut(n / 64);
+        full.fill(u64::MAX);
+        rest.fill(0);
+        if n % 64 != 0 {
+            rest[0] = (1u64 << (n % 64)) - 1;
+        }
+        self.count = n as u32;
     }
 
     /// Iterates over the set indices, ascending.
@@ -305,6 +319,22 @@ mod tests {
             b.insert(idx);
         }
         assert_eq!(b.iter().collect::<Vec<_>>(), vec![0, 63, 64, 127]);
+    }
+
+    #[test]
+    fn fill_sets_exactly_the_prefix() {
+        for n in [0usize, 1, 63, 64, 65, 128, 130] {
+            let mut b = IdBits::with_capacity(256);
+            b.insert(255);
+            b.fill(n);
+            assert_eq!(b.len(), n);
+            assert_eq!(b.iter().collect::<Vec<_>>(), (0..n).collect::<Vec<_>>());
+            assert!(!b.contains(n) && !b.contains(255));
+        }
+        // Grows a narrower set.
+        let mut b = IdBits::new();
+        b.fill(70);
+        assert_eq!(b.iter().count(), 70);
     }
 
     #[test]

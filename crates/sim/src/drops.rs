@@ -20,6 +20,14 @@ use rand::{Rng, SeedableRng};
 ///
 /// Implementations must be deterministic given their construction
 /// parameters (seeded randomness included) so executions are replayable.
+///
+/// **The `quiet` contract.** [`quiet`](Self::quiet)`(round)` returning
+/// `true` promises that [`drops`](Self::drops) would return `false` for
+/// every pair in `round` *and* that not asking changes nothing: no state
+/// (an RNG draw, a log entry) depends on the round's queries. The engines
+/// then skip the round's per-pair queries altogether. The default,
+/// `false`, keeps every query — what a policy that observes its queries
+/// must return.
 pub trait DropPolicy {
     /// Whether the message sent in `round` from `from` to `to` is lost.
     ///
@@ -29,6 +37,13 @@ pub trait DropPolicy {
     /// The global stabilization round: no drops at or after it. Harnesses
     /// use this to size observation horizons.
     fn gst(&self) -> Round;
+
+    /// Whether `round` may skip its [`drops`](Self::drops) queries: it
+    /// drops nothing and no query would change the policy's state (see
+    /// the trait doc).
+    fn quiet(&self, _round: Round) -> bool {
+        false
+    }
 }
 
 impl DropPolicy for Box<dyn DropPolicy> {
@@ -39,6 +54,10 @@ impl DropPolicy for Box<dyn DropPolicy> {
     fn gst(&self) -> Round {
         (**self).gst()
     }
+
+    fn quiet(&self, round: Round) -> bool {
+        (**self).quiet(round)
+    }
 }
 
 impl DropPolicy for Box<dyn DropPolicy + Send> {
@@ -48,6 +67,10 @@ impl DropPolicy for Box<dyn DropPolicy + Send> {
 
     fn gst(&self) -> Round {
         (**self).gst()
+    }
+
+    fn quiet(&self, round: Round) -> bool {
+        (**self).quiet(round)
     }
 }
 
@@ -62,6 +85,10 @@ impl DropPolicy for NoDrops {
 
     fn gst(&self) -> Round {
         Round::ZERO
+    }
+
+    fn quiet(&self, round: Round) -> bool {
+        round >= self.gst()
     }
 }
 
@@ -107,6 +134,10 @@ impl DropPolicy for RandomUntilGst {
     fn gst(&self) -> Round {
         self.gst
     }
+
+    fn quiet(&self, round: Round) -> bool {
+        round >= self.gst()
+    }
 }
 
 /// Partitions the processes into sides and drops everything crossing
@@ -147,6 +178,10 @@ impl DropPolicy for PartitionUntil {
     fn gst(&self) -> Round {
         self.heal
     }
+
+    fn quiet(&self, round: Round) -> bool {
+        round >= self.gst()
+    }
 }
 
 /// Isolates a set of processes — everything to or from them is dropped —
@@ -172,6 +207,10 @@ impl DropPolicy for IsolateUntil {
 
     fn gst(&self) -> Round {
         self.heal
+    }
+
+    fn quiet(&self, round: Round) -> bool {
+        round >= self.gst()
     }
 }
 
@@ -204,6 +243,10 @@ impl DropPolicy for ScriptedDrops {
             .map(|&(r, _, _)| r.next())
             .unwrap_or(Round::ZERO)
     }
+
+    fn quiet(&self, round: Round) -> bool {
+        round >= self.gst()
+    }
 }
 
 /// Combines two policies: a message is dropped if either policy drops it.
@@ -222,6 +265,10 @@ impl<A: DropPolicy, B: DropPolicy> DropPolicy for Both<A, B> {
 
     fn gst(&self) -> Round {
         self.0.gst().max(self.1.gst())
+    }
+
+    fn quiet(&self, round: Round) -> bool {
+        self.0.quiet(round) && self.1.quiet(round)
     }
 }
 
@@ -345,6 +392,80 @@ mod tests {
             4,
             3,
         );
+    }
+
+    /// The `quiet` contract at n = 6 over rounds `0..gst + 4`: a quiet
+    /// round drops no pair, every listed policy is quiet exactly from its
+    /// `gst()` on, and both `Box` forwarders answer what the inner policy
+    /// answers.
+    fn assert_quiet_contract<D: DropPolicy + Clone + Send + 'static>(name: &str, policy: D) {
+        let n = 6;
+        let boxed: Box<dyn DropPolicy> = Box::new(policy.clone());
+        let boxed_send: Box<dyn DropPolicy + Send> = Box::new(policy.clone());
+        let mut policy = policy;
+        let gst = policy.gst();
+        for r in 0..gst.index() + 4 {
+            let round = Round::new(r);
+            let quiet = policy.quiet(round);
+            assert_eq!(
+                quiet,
+                round >= gst,
+                "{name}: quiet at {round:?}, gst {gst:?}"
+            );
+            assert_eq!(boxed.quiet(round), quiet, "{name}: Box<dyn> at {round:?}");
+            assert_eq!(
+                boxed_send.quiet(round),
+                quiet,
+                "{name}: Box<dyn + Send> at {round:?}"
+            );
+            if !quiet {
+                continue;
+            }
+            for from in 0..n {
+                for to in 0..n {
+                    assert!(
+                        from == to || !policy.drops(round, p(from), p(to)),
+                        "{name}: quiet {round:?} dropped {from}->{to}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quiet_rounds_drop_nothing_and_forward_through_boxes() {
+        assert_quiet_contract("no_drops", NoDrops);
+        assert_quiet_contract("random", RandomUntilGst::new(Round::new(6), 1.0, 9));
+        assert_quiet_contract(
+            "partition",
+            PartitionUntil::new(vec![[p(0)].into(), [p(1), p(2)].into()], Round::new(4)),
+        );
+        assert_quiet_contract("isolate", IsolateUntil::new([p(2)].into(), Round::new(5)));
+        assert_quiet_contract(
+            "scripted",
+            ScriptedDrops::new([(Round::new(2), p(0), p(1)), (Round::new(3), p(5), p(4))]),
+        );
+        assert_quiet_contract(
+            "both",
+            Both(
+                RandomUntilGst::new(Round::new(3), 1.0, 1),
+                IsolateUntil::new([p(1)].into(), Round::new(7)),
+            ),
+        );
+        // A policy that keeps the default is never quiet, through a box
+        // or not.
+        struct Chatty;
+        impl DropPolicy for Chatty {
+            fn drops(&mut self, _: Round, _: Pid, _: Pid) -> bool {
+                false
+            }
+            fn gst(&self) -> Round {
+                Round::ZERO
+            }
+        }
+        let boxed: Box<dyn DropPolicy> = Box::new(Chatty);
+        assert!(!Chatty.quiet(Round::new(9)) && !boxed.quiet(Round::new(9)));
+        assert!(!Both(NoDrops, Chatty).quiet(Round::new(9)));
     }
 
     #[test]

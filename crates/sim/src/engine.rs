@@ -764,8 +764,8 @@ impl<P: Protocol, E: Executor> Simulation<P, E> {
 
         // 3. Topology and drops, planned in exact (cast, recipient) order
         //    on the calling thread (the drop policy is stateful: query
-        //    order is observable), then one inbox per delivery class with
-        //    someone to read it.
+        //    order is observable) unless the round is quiet, then one
+        //    inbox per delivery class with someone to read it.
         let trace = &mut self.trace;
         let down = (!self.crashed.is_empty()).then_some(&self.crashed);
         let tallies = par::plan_routes(
@@ -775,6 +775,7 @@ impl<P: Protocol, E: Executor> Simulation<P, E> {
             &self.topology,
             down,
             self.drops.as_mut(),
+            trace.is_some(),
             &mut self.plan,
             |cast, to, dropped| {
                 if let Some(trace) = trace.as_mut() {
@@ -1057,6 +1058,67 @@ mod tests {
         // Still decides in a later round once drops cease.
         assert!(report.verdict.all_hold());
         assert!(report.all_decided_round > Some(Round::ZERO));
+    }
+
+    /// The route pass's work, counted: a policy that overrides `quiet`
+    /// is asked nothing on its quiet rounds and exactly once per
+    /// connected non-self pair on its lossy ones — unless a trace
+    /// records, a process is down or a link is cut, which walk every
+    /// pair on every round. `messages_sent` does not depend on the path.
+    #[test]
+    fn quiet_rounds_skip_the_per_pair_queries() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// Drops nothing; counts its queries; quiet from round 2 on.
+        struct CountingDrops(Arc<AtomicU64>);
+        impl DropPolicy for CountingDrops {
+            fn drops(&mut self, _: Round, _: Pid, _: Pid) -> bool {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                false
+            }
+            fn gst(&self) -> Round {
+                Round::new(2)
+            }
+            fn quiet(&self, round: Round) -> bool {
+                round >= self.gst()
+            }
+        }
+
+        let n = 6;
+        // Queries per round over rounds 0..4, and the messages sent.
+        let run = |traced: bool, crash: bool, cut: bool| {
+            let queries = Arc::new(AtomicU64::new(0));
+            let mut builder =
+                Simulation::builder(cfg(n, n, 0), IdAssignment::unique(n), vec![1; n])
+                    .drops(CountingDrops(Arc::clone(&queries)))
+                    .record_trace(traced);
+            if cut {
+                let all_but_0_1 = Pid::all(n)
+                    .flat_map(|a| Pid::all(n).map(move |b| (a, b)))
+                    .filter(|&(a, b)| a < b && (a.index(), b.index()) != (0, 1));
+                builder = builder.topology(Topology::with_edges(n, all_but_0_1));
+            }
+            let mut sim = builder.build_with(&gossip_factory(n + 1));
+            if crash {
+                sim.crash(Pid::new(5)).unwrap();
+            }
+            let per_round: Vec<u64> = (0..4)
+                .map(|_| {
+                    sim.step();
+                    queries.swap(0, Ordering::Relaxed)
+                })
+                .collect();
+            (per_round, sim.messages_sent)
+        };
+        let pairs = (n * (n - 1)) as u64;
+        let (quiet, sent) = run(false, false, false);
+        assert_eq!(quiet, vec![pairs, pairs, 0, 0]);
+        assert_eq!(sent, 4 * pairs);
+        assert_eq!(run(true, false, false), (vec![pairs; 4], sent));
+        // The crashed process sends nothing but is still asked about.
+        let live_pairs = ((n - 1) * (n - 1)) as u64;
+        assert_eq!(run(false, true, false).0, vec![live_pairs; 4]);
+        assert_eq!(run(false, false, true).0, vec![pairs - 2; 4]);
     }
 
     #[test]

@@ -118,38 +118,9 @@ where
     P::Value: Send,
     F: ProtocolFactory<P = P>,
 {
-    struct BoxedAdversary<M>(Box<dyn Adversary<M>>);
-    impl<M: homonym_core::Message> Adversary<M> for BoxedAdversary<M> {
-        fn send(
-            &mut self,
-            ctx: &crate::adversary::AdvCtx<'_>,
-        ) -> Vec<crate::adversary::Emission<M>> {
-            self.0.send(ctx)
-        }
-        fn receive(
-            &mut self,
-            round: Round,
-            inboxes: &std::collections::BTreeMap<Pid, homonym_core::Inbox<M>>,
-        ) {
-            self.0.receive(round, inboxes);
-        }
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-    }
-    struct BoxedDrops(Box<dyn DropPolicy>);
-    impl DropPolicy for BoxedDrops {
-        fn drops(&mut self, round: Round, from: Pid, to: Pid) -> bool {
-            self.0.drops(round, from, to)
-        }
-        fn gst(&self) -> Round {
-            self.0.gst()
-        }
-    }
-
     let mut sim = Simulation::builder(cfg, assignment.clone(), scenario.inputs)
-        .byzantine(scenario.byz, BoxedAdversary(scenario.adversary))
-        .drops(BoxedDrops(scenario.drops))
+        .byzantine(scenario.byz, scenario.adversary)
+        .drops(scenario.drops)
         .build_with(factory);
     let report = sim.run(horizon);
     ScenarioResult {

@@ -14,12 +14,17 @@
 //! * **route** — on the coordinating thread: the adversary's casts
 //!   ([`adversary_casts`]), one frame token per cast ([`stamp_toks`]; a
 //!   token is only sound within the one [`FrameInterner`] that issued
-//!   it), then [`plan_routes`], which walks every *(cast, recipient)*
-//!   pair in order — topology, the stateful [`DropPolicy`], the crashed
-//!   set, the trace hook — and records, per cast, the set of recipients
-//!   it reached. The walk is deliberately sequential:
-//!   [`DropPolicy::drops`] may consume one RNG draw per queried message,
-//!   so query order is observable and traces must replay byte for byte.
+//!   it), then [`plan_routes`], which records, per cast, the set of
+//!   recipients it reached. A *quiet* round — the policy promises no
+//!   loss and no observed query ([`DropPolicy::quiet`]; after GST in the
+//!   partially synchronous model, always in the synchronous one), the
+//!   topology is complete, nobody is crashed, no trace records — takes
+//!   each cast's target as its row, in O(casts). Any other round walks
+//!   every *(cast, recipient)* pair in order — topology, the stateful
+//!   [`DropPolicy`], the crashed set, the trace hook. The walk is
+//!   deliberately sequential: [`DropPolicy::drops`] may consume one RNG
+//!   draw per queried message, so query order is observable and traces
+//!   must replay byte for byte.
 //! * **classes** — recipients are partitioned into *delivery classes*:
 //!   two recipients share a class when exactly the same casts reached
 //!   them. Only a cast that reached some but not all recipients (a drop,
@@ -516,16 +521,24 @@ impl<M: Message> DeliveryPlan<M> {
     }
 }
 
-/// The route phase: walks every *(cast, recipient)* pair **in order** on
-/// the coordinating thread — casts in list order, each target's
-/// recipients ascending — applying topology, the (stateful) drop policy,
-/// and the set of crashed (`down`) processes, and writes the plan the
-/// receive chunks will read concurrently: per cast the recipients it
-/// reached, and from those the delivery classes. `record` is called for
-/// every *attempted* delivery (topology-connected pair) in routing order —
-/// the trace hook.
+/// The route phase, on the coordinating thread: writes the plan the
+/// receive chunks will read concurrently — per cast the recipients it
+/// reached, and from those the delivery classes.
 ///
-/// This pass is deliberately sequential: [`DropPolicy::drops`] may
+/// A round is *quiet* when the drop policy promises it loses nothing and
+/// observes no query ([`DropPolicy::quiet`]), the topology is complete,
+/// nobody is `down` and no trace is recording (`traced` is false). Then
+/// each cast's row is its whole target (`route_quiet`): O(casts) words,
+/// no per-pair call.
+///
+/// Every other round walks every *(cast, recipient)* pair **in order** —
+/// casts in list order, each target's recipients ascending — applying
+/// topology, the (stateful) drop policy, and the set of crashed (`down`)
+/// processes. `record` is called for every *attempted* delivery
+/// (topology-connected pair) in routing order — the trace hook; a quiet
+/// round never calls it.
+///
+/// The walk is deliberately sequential: [`DropPolicy::drops`] may
 /// consume one RNG draw per queried message, so query order is
 /// observable and must match the sequential engine exactly. For the same
 /// reason the policy is queried even for messages addressed to a crashed
@@ -540,11 +553,18 @@ pub fn plan_routes<M: Message>(
     topology: &Topology,
     down: Option<&BTreeSet<Pid>>,
     drops: &mut dyn DropPolicy,
+    traced: bool,
     plan: &mut DeliveryPlan<M>,
     mut record: impl FnMut(&Cast<M>, Pid, bool),
 ) -> RouteTallies {
     if plan.rows.len() < casts.len() {
         plan.rows.resize_with(casts.len(), IdBits::new);
+    }
+    let complete = topology.is_complete() && topology.n() == assignment.n();
+    if !traced && down.is_none() && complete && drops.quiet(r) {
+        let tallies = route_quiet(casts, assignment, &mut plan.rows);
+        plan.partition(assignment.n(), casts.len());
+        return tallies;
     }
     let mut tallies = RouteTallies {
         sent: 0,
@@ -580,6 +600,40 @@ pub fn plan_routes<M: Message>(
     tallies
 }
 
+/// The route phase of a quiet round (see [`plan_routes`]): every
+/// addressed recipient is reached, so a row is its cast's target — one
+/// word fill for `All` — and the tallies follow from the row sizes, self
+/// excluded.
+fn route_quiet<M>(
+    casts: &[Cast<M>],
+    assignment: &IdAssignment,
+    rows: &mut [IdBits],
+) -> RouteTallies {
+    let n = assignment.n();
+    let mut tallies = RouteTallies {
+        sent: 0,
+        delivered: 0,
+        dropped: 0,
+        bits: 0,
+    };
+    for (cast, row) in casts.iter().zip(rows) {
+        if cast.to == ByzTarget::All {
+            row.fill(n);
+        } else {
+            row.clear();
+            // A unicast past `n` has no channel, exactly as in the walk.
+            for to in cast.to.expand(assignment).filter(|to| to.index() < n) {
+                row.insert(to.index());
+            }
+        }
+        let others = (row.len() - usize::from(row.contains(cast.from.index()))) as u64;
+        tallies.sent += others;
+        tallies.delivered += others;
+        tallies.bits += others * cast.bits;
+    }
+    tallies
+}
+
 /// The receive phase of one pid chunk: runs [`Protocol::receive`] for
 /// every process against its class's shared inbox, and collects
 /// `(pid, decision, state_bits)` in pid order for the coordinating
@@ -595,5 +649,201 @@ pub fn receive_chunk<P: Protocol>(
     for (pid, proc_) in procs.iter_mut() {
         proc_.receive(r, plan.inbox(*pid));
         out.push((*pid, proc_.decision(), proc_.state_bits()));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::drops::{NoDrops, RandomUntilGst};
+    use homonym_core::journal::MemJournal;
+    use homonym_core::Counting;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Forwards a policy but keeps the default `quiet`, so `plan_routes`
+    /// walks every pair of a round the policy itself calls quiet.
+    struct Walked<D>(D);
+
+    impl<D: DropPolicy> DropPolicy for Walked<D> {
+        fn drops(&mut self, round: Round, from: Pid, to: Pid) -> bool {
+            self.0.drops(round, from, to)
+        }
+
+        fn gst(&self) -> Round {
+            self.0.gst()
+        }
+    }
+
+    /// Everything a route pass leaves for the rest of the tick: rows (as
+    /// index sets), classes and members, tallies, class inboxes and every
+    /// recipient's journal records.
+    #[derive(Debug, PartialEq)]
+    struct Routed {
+        rows: Vec<Vec<usize>>,
+        class_of: Vec<u32>,
+        members: Vec<Pid>,
+        starts: Vec<usize>,
+        tallies: (u64, u64, u64, u64),
+        inboxes: Vec<Inbox<u32>>,
+        records: Vec<Vec<Vec<u8>>>,
+    }
+
+    /// Routes `casts` on a plan that already routed them in reverse (so
+    /// the compared pass overwrites stale rows), then builds the inboxes
+    /// and journals the round.
+    fn route(
+        casts: &[Cast<u32>],
+        r: Round,
+        assignment: &IdAssignment,
+        counting: Counting,
+        drops: &mut dyn DropPolicy,
+    ) -> Routed {
+        let n = assignment.n();
+        let topology = Topology::complete(n);
+        let mut plan = DeliveryPlan::new();
+        let reversed: Vec<Cast<u32>> = casts
+            .iter()
+            .rev()
+            .map(|c| Cast {
+                msg: Arc::clone(&c.msg),
+                ..*c
+            })
+            .collect();
+        plan_routes(
+            &reversed,
+            r,
+            assignment,
+            &topology,
+            None,
+            drops,
+            false,
+            &mut plan,
+            |_, _, _| {},
+        );
+        let t = plan_routes(
+            casts,
+            r,
+            assignment,
+            &topology,
+            None,
+            drops,
+            false,
+            &mut plan,
+            |_, _, _| {},
+        );
+        plan.build_inboxes(casts, counting, |_| true);
+        let mut records = DeliveryRecords::new();
+        let mut journals: BTreeMap<Pid, Box<dyn Journal + Send>> = Pid::all(n)
+            .map(|pid| (pid, Box::new(MemJournal::new()) as Box<dyn Journal + Send>))
+            .collect();
+        plan.journal(
+            casts,
+            r,
+            &mut records,
+            DeliveryRecords::stage::<u32>,
+            &mut journals,
+            |_| true,
+        );
+        Routed {
+            rows: plan.rows[..casts.len()]
+                .iter()
+                .map(|row| row.iter().collect())
+                .collect(),
+            class_of: plan.class_of.clone(),
+            members: plan.members.clone(),
+            starts: plan.starts.clone(),
+            tallies: (t.sent, t.delivered, t.dropped, t.bits),
+            inboxes: plan
+                .inboxes
+                .iter()
+                .map(|inbox| Inbox::clone(inbox))
+                .collect(),
+            records: journals
+                .values_mut()
+                .map(|journal| {
+                    journal.sync().unwrap();
+                    journal.recover().records
+                })
+                .collect(),
+        }
+    }
+
+    /// A random round on `n` processes: a random assignment onto `ell`
+    /// identifiers and up to `n + 4` casts to `All`, a `Group` or `One`,
+    /// self-addressed ones included.
+    fn random_round(
+        n: usize,
+        ell: usize,
+        measure: bool,
+        seed: u64,
+    ) -> (IdAssignment, Vec<Cast<u32>>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Every identifier has a holder, the rest are random, then shuffle.
+        let mut ids: Vec<usize> = (0..n)
+            .map(|i| if i < ell { i } else { rng.gen_range(0..ell) })
+            .collect();
+        for i in (1..n).rev() {
+            ids.swap(i, rng.gen_range(0..=i));
+        }
+        let assignment =
+            IdAssignment::new(ell, ids.into_iter().map(Id::from_index).collect()).unwrap();
+        let mut casts: Vec<Cast<u32>> = (0..rng.gen_range(0..=n + 4))
+            .map(|_| {
+                let from = Pid::new(rng.gen_range(0..n));
+                let to = match rng.gen_range(0..4) {
+                    0 => ByzTarget::All,
+                    1 => ByzTarget::Group(Id::from_index(rng.gen_range(0..ell))),
+                    2 => ByzTarget::One(from),
+                    _ => ByzTarget::One(Pid::new(rng.gen_range(0..n))),
+                };
+                Cast {
+                    from,
+                    src: assignment.id_of(from),
+                    to,
+                    msg: Arc::new(rng.gen_range(0..8)),
+                    bits: if measure { rng.gen_range(1..500) } else { 0 },
+                    tok: 0,
+                }
+            })
+            .collect();
+        stamp_toks(&mut FrameInterner::new(), &mut casts);
+        (assignment, casts)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// A quiet round's O(casts) rows are exactly what the per-pair
+        /// walk writes, and so is everything built from them.
+        #[test]
+        fn quiet_rows_equal_the_per_pair_walk(
+            (n, ell) in (1usize..=130).prop_flat_map(|n| (Just(n), 1usize..=n)),
+            gst in 0u64..6,
+            after in 0u64..4,
+            lossy_before in any::<bool>(),
+            measure in any::<bool>(),
+            numerate in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let (assignment, casts) = random_round(n, ell, measure, seed);
+            let r = Round::new(gst + after);
+            let counting = if numerate { Counting::Numerate } else { Counting::Innumerate };
+            let (quiet, walked) = if lossy_before {
+                let policy = RandomUntilGst::new(Round::new(gst), 0.5, seed);
+                prop_assert!(policy.quiet(r));
+                (
+                    route(&casts, r, &assignment, counting, &mut policy.clone()),
+                    route(&casts, r, &assignment, counting, &mut Walked(policy)),
+                )
+            } else {
+                (
+                    route(&casts, r, &assignment, counting, &mut NoDrops),
+                    route(&casts, r, &assignment, counting, &mut Walked(NoDrops)),
+                )
+            };
+            prop_assert_eq!(quiet, walked);
+        }
     }
 }

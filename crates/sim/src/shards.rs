@@ -8,7 +8,7 @@
 //! each global *tick*, every shard routes its own cast list into its own
 //! delivery classes (`crate::par`), and the fabric's headline guarantee
 //! is preserved: each emitted payload is wrapped in an
-//! [`Arc`](std::sync::Arc) exactly once, whatever the shard count (pinned
+//! [`Arc`] exactly once, whatever the shard count (pinned
 //! by the counting-`Clone` test in this module).
 //!
 //! Shards are *multi-shot*: a [`ShardSpec`] carries a queue of
@@ -670,13 +670,16 @@ impl<P: Protocol> ShardCore<P> {
     /// (one record per delivery class) if the shard is durable, and
     /// builds the class inboxes the receive phase and
     /// [`deliver_byz`](ShardCore::deliver_byz) read from `plan`. `record`
-    /// sees every *attempted* delivery in routing order (the trace hook).
+    /// sees every *attempted* delivery in routing order (the trace hook);
+    /// `traced` says whether it keeps them, since an untraced quiet round
+    /// is not walked pair by pair (see [`par::plan_routes`]).
     /// [`ShardedSimulation::step`] calls this between its send and
     /// receive scatters.
     ///
     /// # Panics
     ///
     /// Panics if the adversary emits from a non-Byzantine process.
+    #[allow(clippy::too_many_arguments)]
     pub fn plan_tick(
         &mut self,
         shard: ShardId,
@@ -684,6 +687,7 @@ impl<P: Protocol> ShardCore<P> {
         casts: &mut Vec<Cast<P::Msg>>,
         plan: &mut DeliveryPlan<P::Msg>,
         measure_bits: bool,
+        traced: bool,
         record: impl FnMut(&Cast<P::Msg>, Pid, bool),
     ) where
         P::Msg: WireEncode,
@@ -714,6 +718,7 @@ impl<P: Protocol> ShardCore<P> {
             &self.topology,
             down,
             self.drops.as_mut(),
+            traced,
             plan,
             record,
         );
@@ -1195,6 +1200,7 @@ impl<P: Protocol, E: Executor> ShardedSimulation<P, E> {
                 casts,
                 plan,
                 measure_bits,
+                record_trace,
                 |cast, to, dropped| {
                     if record_trace {
                         trace_buf.push(ShardDelivery {

@@ -48,9 +48,16 @@ impl Topology {
         self.n
     }
 
+    /// Whether every ordered pair of `0..n` has a channel (the paper's
+    /// model).
+    pub fn is_complete(&self) -> bool {
+        self.adj.is_none()
+    }
+
     /// Whether `from` can deliver to `to`.
-    // Inlinable across crates: the route pass asks once per (cast,
-    // recipient) pair, n² times a tick.
+    // Inlinable across crates: the route walk asks once per (cast,
+    // recipient) pair, n² times a tick, on every round that is not quiet
+    // (a lossy, cut, crashed or traced one).
     #[inline]
     pub fn connected(&self, from: Pid, to: Pid) -> bool {
         if from == to {
@@ -94,6 +101,7 @@ mod tests {
             }
         }
         assert_eq!(t.receivers(Pid::new(1)).len(), 3);
+        assert!(t.is_complete());
     }
 
     #[test]
@@ -102,6 +110,7 @@ mod tests {
         assert!(t.connected(Pid::new(0), Pid::new(1)));
         assert!(t.connected(Pid::new(1), Pid::new(0)));
         assert!(!t.connected(Pid::new(0), Pid::new(2)));
+        assert!(!t.is_complete());
     }
 
     #[test]
